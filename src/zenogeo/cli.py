@@ -238,10 +238,9 @@ def handle_survival(args) -> int:
     if args.t_max <= 0 or args.samples < 2:
         raise CliInputError("--t-max/--samples", "need t-max > 0 and samples >= 2")
     var = linalg.variance(H, psi0)
-    rows = []
-    for t in np.linspace(0.0, args.t_max, args.samples):
-        p = linalg.survival_probability(psi0, H, float(t))
-        rows.append([float(t), p, 1.0 - var * float(t) ** 2])
+    ts = np.linspace(0.0, args.t_max, args.samples)
+    ps = linalg.survival_probability(psi0, H, ts)
+    rows = [[t, p, 1.0 - var * t**2] for t, p in zip(ts.tolist(), ps.tolist())]
     _emit_table(config, ["t", "p", "quadratic_approx"], rows)
     return 0
 
@@ -296,17 +295,19 @@ def handle_flow(args) -> int:
     if args.samples < 1:
         raise CliInputError("--samples", "need samples >= 1")
     try:
-        per = max(1, math.ceil(qubit.default_flow_steps(hq, args.t) / args.samples))
-        traj = qubit.integrate_zeno_flow(hq, start, args.t, steps=per * args.samples)
+        steps = qubit.default_flow_steps(hq, args.t)
+    except ValueError as exc:
+        raise CliInputError("--t", str(exc)) from exc
+    try:
+        traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples, steps)
     except ValueError as exc:
         raise CliInputError("--start", str(exc)) from exc
-    picked = traj[::per]
     times = np.linspace(0.0, args.t, args.samples + 1)
     rows = [
-        [float(t), b.u, b.x, b.y, b.z] for t, b in zip(times, picked)
+        [float(t), b.u, b.x, b.y, b.z] for t, b in zip(times, traj)
     ]
-    u_drift = max(abs(b.u - start.u) for b in picked)
-    z_drift = max(abs(b.z - start.z) for b in picked)
+    u_drift = max(abs(b.u - start.u) for b in traj)
+    z_drift = max(abs(b.z - start.z) for b in traj)
     trailer = [f"conserved u_drift {u_drift:.3e} z_drift {z_drift:.3e}"]
     _emit_table(
         config,
@@ -389,6 +390,14 @@ def handle_freeze(args) -> int:
 # parser
 
 
+def finite_float(text: str) -> float:
+    """argparse type for a finite number; argparse names the flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenogeo",
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survival", help="survival probability p(t) and its quadratic approximation")
     p.add_argument("--hamiltonian", required=True, help="path | sigma_x|sigma_y|sigma_z | qubit:h0,hx,hy,hz | random:n")
     p.add_argument("--state", required=True, help="path | e<k> | plus | random")
-    p.add_argument("--t-max", dest="t_max", type=float, required=True)
+    p.add_argument("--t-max", dest="t_max", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=100)
     common(p)
     p.set_defaults(handler=handle_survival)
@@ -419,18 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="distance of the measured product from its limit on a doubling ladder")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--projector", required=True, help="path | e<k> | identity | random:rank")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=finite_float, default=1.0)
     p.add_argument("--n-max", dest="n_max", type=int, required=True, help="largest N, a power of two >= 8")
     common(p)
     p.set_defaults(handler=handle_converge)
 
     p = sub.add_parser("flow", help="Bloch trajectory of the limit dynamics")
-    p.add_argument("--h0", type=float, default=0.0)
-    p.add_argument("--hx", type=float, default=0.0)
-    p.add_argument("--hy", type=float, default=0.0)
-    p.add_argument("--hz", type=float, default=0.0)
+    p.add_argument("--h0", type=finite_float, default=0.0)
+    p.add_argument("--hx", type=finite_float, default=0.0)
+    p.add_argument("--hy", type=finite_float, default=0.0)
+    p.add_argument("--hz", type=finite_float, default=0.0)
     p.add_argument("--start", required=True, help="north | south | equator | u,x,y,z")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=200)
     common(p)
     p.set_defaults(handler=handle_flow)
@@ -442,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=handle_brackets)
 
     p = sub.add_parser("freeze", help="survival and phase of the prepared qubit state")
-    p.add_argument("--h0", type=float, default=0.0)
-    p.add_argument("--hx", type=float, default=0.0)
-    p.add_argument("--hy", type=float, default=0.0)
-    p.add_argument("--hz", type=float, default=0.0)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--h0", type=finite_float, default=0.0)
+    p.add_argument("--hx", type=finite_float, default=0.0)
+    p.add_argument("--hy", type=finite_float, default=0.0)
+    p.add_argument("--hz", type=finite_float, default=0.0)
+    p.add_argument("--t", type=finite_float, required=True)
     common(p)
     p.set_defaults(handler=handle_freeze)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
@@ -97,14 +96,16 @@ def is_unitary(U, tol: float = 1e-10) -> bool:
 def expm_antihermitian(H, t: float) -> np.ndarray:
     """Return exp(-i H t) for Hermitian H.
 
-    Uses scaling-and-squaring with a Pade core (scipy.linalg.expm), adequate
-    for dense matrices up to a few hundred dimensions and |H t| <= 100.
+    Eigenvector method for normal matrices: with H = V diag(E) V^dagger,
+    exp(-i H t) = V diag(exp(-i E t)) V^dagger, unitary up to the roundoff
+    of ``eigh`` for any finite t.
     """
     H = require_hermitian(H)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
-    return scipy.linalg.expm(-1j * t * H)
+    E, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * E * t)) @ V.conj().T
 
 
 def evolve(psi0, H, t: float) -> np.ndarray:
@@ -129,16 +130,51 @@ def expectation_value(A, psi) -> float:
     return float(np.real(np.vdot(psi, A @ psi)))
 
 
-def survival_amplitude(psi0, H, t: float) -> complex:
-    """Overlap <psi0| exp(-i H t) |psi0> of the evolved state with itself."""
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("evolution time must be finite")
+    return t
+
+
+def _amplitudes(psi0, H, t: np.ndarray) -> np.ndarray:
+    """sum_k |<v_k|psi0>|^2 exp(-i E_k t) over the eigenpairs (E_k, v_k)
+    of H, for every time in t, from one eigendecomposition."""
     psi0 = require_normalized(psi0)
-    return complex(np.vdot(psi0, evolve(psi0, H, t)))
+    H = require_hermitian(H)
+    if H.shape[0] != psi0.size:
+        raise ValueError(
+            f"dimension mismatch: state has dim {psi0.size}, operator {H.shape[0]}"
+        )
+    E, V = np.linalg.eigh(H)
+    weights = np.abs(V.conj().T @ psi0) ** 2
+    # One pass per eigenpair keeps memory at the size of t.
+    a = np.zeros(t.shape, dtype=np.complex128)
+    for E_k, w_k in zip(E, weights):
+        a += w_k * np.exp(-1j * E_k * t)
+    return a
 
 
-def survival_probability(psi0, H, t: float) -> float:
-    """p(t) = |<psi0|exp(-iHt)|psi0>|^2, clipped to [0, 1] against roundoff."""
-    a = survival_amplitude(psi0, H, t)
-    return min(abs(a) ** 2, 1.0)
+def survival_amplitude(psi0, H, t):
+    """Overlap <psi0| exp(-i H t) |psi0> of the evolved state with itself;
+    a complex for a scalar t, an array for a 1-D array of times."""
+    t = _times(t)
+    a = _amplitudes(psi0, H, t)
+    return complex(a) if t.ndim == 0 else a
+
+
+def survival_probability(psi0, H, t):
+    """p(t) = |a(t)|^2 / |a(0)|^2 with a the survival amplitude, clipped to
+    [0, 1] against roundoff; a float for a scalar t, an array otherwise.
+
+    a(0) comes from the same sum as a(t), so p(0) is exactly 1.
+    """
+    t = _times(t)
+    a = _amplitudes(psi0, H, np.append(0.0, t))
+    p = np.minimum(np.abs(a[1:]) ** 2 / abs(a[0]) ** 2, 1.0)
+    return float(p[0]) if t.ndim == 0 else p
 
 
 def variance(H, psi) -> float:
@@ -170,34 +206,6 @@ def zeno_time(psi0, H) -> float:
     return 1.0 / math.sqrt(var)
 
 
-def spectral_norm(M, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on M^dagger M.
-
-    Deterministic start vector, so repeated calls give identical results.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
-    B = M.conj().T @ M
-    n = B.shape[0]
-    # Slightly uneven start vector avoids being orthogonal to the top space.
-    v = np.ones(n, dtype=np.complex128) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(np.real(np.vdot(v, B @ v)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
-
-
 def short_time_coefficient(psi0, H) -> float:
     """Fit c in p(t) = 1 - c t^2 + O(t^4) by Richardson extrapolation.
 
@@ -213,10 +221,9 @@ def short_time_coefficient(psi0, H) -> float:
         return 0.0
     t0 = 0.1 / scale
     levels = 5
-    ts = [t0 / 2**k for k in range(levels)]
-    g = [(1.0 - survival_probability(psi0, H, t)) / t**2 for t in ts]
+    ts = t0 / 2.0 ** np.arange(levels)
     # Richardson tableau in the variable h = t^2 (step ratio 4 per level).
-    tab = list(g)
+    tab = ((1.0 - survival_probability(psi0, H, ts)) / ts**2).tolist()
     best = [tab[0]]
     for m in range(1, levels):
         for k in range(levels - m):

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .linalg import (
     as_state,
     expm_antihermitian,
     norm_sq,
     require_hermitian,
     require_projector,
-    spectral_norm,
 )
 
 #: Scan errors below this are reported as exactly converged ("exact").
@@ -106,26 +104,32 @@ def projector_from_basis(vectors, tol: float = 1e-8) -> np.ndarray:
     return V @ V.conj().T
 
 
+def measured_step(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
+    """One measurement period P exp(-iHt/N) P."""
+    P = setup.projector
+    return P @ expm_antihermitian(setup.hamiltonian, t / N) @ P
+
+
 def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
     """V_N(t) = (P exp(-iHt/N) P)^N, the evolution with N measurements.
 
-    Powers of two are built by repeated squaring, other N by left-to-right
-    accumulation.  The result is a contraction.
+    Built by binary powering of the step, i.e. repeated squaring for powers
+    of two.  The result is a contraction.
     """
     N = int(N)
     if N < 1:
         raise ValueError("measurement count N must be >= 1")
-    P = setup.projector
-    step = P @ expm_antihermitian(setup.hamiltonian, t / N) @ P
-    if N == 1:
-        return step
-    if N & (N - 1) == 0:
-        R = step
-        while N > 1:
-            R = R @ R
-            N >>= 1
-        return R
-    return kernels.matrix_chain(np.ascontiguousarray(step), N)
+    return np.linalg.matrix_power(measured_step(setup, t, N), N)
+
+
+def orbit(step: np.ndarray, per: int, y0: np.ndarray, samples: int) -> np.ndarray:
+    """Rows y0, W y0, ..., W^samples y0 with W = step^per."""
+    W = np.linalg.matrix_power(step, per)
+    out = np.empty((samples + 1, y0.size), dtype=np.result_type(W, y0))
+    out[0] = y0
+    for k in range(samples):
+        out[k + 1] = W @ out[k]
+    return out
 
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
@@ -164,14 +168,15 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     for N in Ns:
         diff = zeno_product(setup, t, N) - UZ
         points.append(
-            ScanPoint(N, spectral_norm(diff), float(np.linalg.norm(diff)))
+            ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff)))
         )
     return points
 
 
 def fit_convergence_slope(points: list[ScanPoint]) -> float | None:
     """Least-squares slope of log error vs log N; None when the scan sits
-    at roundoff (errors all below EXACT_TOL, e.g. [H, P] = 0)."""
+    at roundoff (errors all below EXACT_TOL, e.g. [H, P] = 0), nan when
+    fewer than two errors are usable."""
     if all(p.error_spectral <= EXACT_TOL for p in points):
         return None
     logs = [
@@ -180,7 +185,7 @@ def fit_convergence_slope(points: list[ScanPoint]) -> float | None:
         if p.error_spectral > 0.0
     ]
     if len(logs) < 2:
-        return None
+        return math.nan
     xs = np.array([a for a, _ in logs])
     ys = np.array([b for _, b in logs])
     xm, ym = xs.mean(), ys.mean()
@@ -207,14 +212,7 @@ def measured_trajectory(
             f"samples = {samples} is not commensurate with N = {N}: choose "
             f"samples dividing N so every sample falls on a measurement"
         )
-    P = setup.projector
-    step = P @ expm_antihermitian(setup.hamiltonian, t / N) @ P
-    states = kernels.repeated_apply(
-        np.ascontiguousarray(step),
-        np.ascontiguousarray(setup.initial_state),
-        N,
-        N // samples,
-    )
+    states = orbit(measured_step(setup, t, N), N // samples, setup.initial_state, samples)
     times = np.linspace(0.0, t, samples + 1)
     probs = np.sum(np.abs(states) ** 2, axis=1)
     return ZenoTrajectory(times, states, probs, N)

@@ -49,7 +49,7 @@ def taylor_expm(M: np.ndarray, terms: int = 20) -> np.ndarray:
 def scaled_taylor_expm(M: np.ndarray, terms: int = 20) -> np.ndarray:
     """Scaling-and-squaring around the truncated series; oracle for any |M|.
 
-    Independent of the Pade implementation used by the package.
+    Independent of the eigendecomposition used by the package.
     """
     norm = np.linalg.norm(M, 2)
     s = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.5)))

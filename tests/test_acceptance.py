@@ -152,7 +152,7 @@ def test_criterion_6_zeno_flow():
         hq = qubit.QubitHamiltonian(h0, hx, hy, hz)
         start = qubit.bloch_map(random_state(rng, 2))
         t = float(rng.uniform(0.5, 3.0))
-        traj = qubit.integrate_zeno_flow(hq, start, t)
+        traj = qubit.integrate_zeno_flow(hq, start, t, samples=25)
         for b in traj[:: max(1, len(traj) // 25)]:
             assert abs(b.u - start.u) <= 1e-9 * t
             assert abs(b.z - start.z) <= 1e-9 * t
@@ -162,7 +162,7 @@ def test_criterion_6_zeno_flow():
     # the antipode is reached at half the ODE period, t = pi / (h0 + hz).
     hq = qubit.QubitHamiltonian(0.0, 0.0, 0.0, 1.0)
     half_period = math.pi / qubit.zeno_rotation_rate(hq)
-    end = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 1, 0, 0), half_period)[-1]
+    end = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 1, 0, 0), half_period, samples=1)[-1]
     assert np.max(np.abs(end.as_array() - np.array([1.0, -1.0, 0.0, 0.0]))) <= 1e-6
 
     # North-Pole start: stationary orbit, unit survival, pure phase.
@@ -170,7 +170,7 @@ def test_criterion_6_zeno_flow():
         h0, hx, hy, hz = (float(v) for v in rng.uniform(-2, 2, size=4))
         hq = qubit.QubitHamiltonian(h0, hx, hy, hz)
         t = float(rng.uniform(0.0, 5.0))
-        traj = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 0, 0, 1), t, steps=1000)
+        traj = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 0, 0, 1), t, samples=1, steps=1000)
         assert np.max(np.abs(traj[-1].as_array() - np.array([1.0, 0.0, 0.0, 1.0]))) <= 1e-10
         survival, phase = qubit.frozen_state_check(hq, t)
         assert abs(survival - 1.0) <= 1e-10
@@ -189,7 +189,7 @@ def test_criterion_7_flow_unitary_consistency():
         t = float(rng.uniform(0.2, 3.0))
         HZ = zeno.zeno_hamiltonian(hq.matrix(), qubit.PROJECTOR_UP)
         want = qubit.bloch_map(linalg.expm_antihermitian(HZ, t) @ psi).as_array()
-        got = qubit.integrate_zeno_flow(hq, qubit.bloch_map(psi), t)[-1].as_array()
+        got = qubit.integrate_zeno_flow(hq, qubit.bloch_map(psi), t, samples=1)[-1].as_array()
         assert np.max(np.abs(got - want)) <= 1e-7
     _report(7, "flow/unitary consistency triangle")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ class TestConverge:
         (slope_line,) = [l for l in trailer_lines(out) if "slope" in l]
         assert slope_line.split()[-1] == "exact"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("hamiltonian,label", [("sigma_x", "nan"), ("sigma_z", "exact")])
+    def test_single_rung_slope_label(self, hamiltonian, label, fmt, capsys):
+        # One rung gives no slope: nan, unless the error sits at roundoff.
+        code, out, _ = run_cli(
+            ["converge", "--hamiltonian", hamiltonian, "--projector", "e1",
+             "--t", "1", "--n-max", "8", "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["slope"] == label
+        else:
+            assert trailer_lines(out) == [f"# slope {label}"]
+
     def test_seeded_random_runs_are_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["converge", "--hamiltonian", "random:6", "--projector", "random:2",
@@ -206,6 +222,15 @@ class TestFlow:
         assert code == 0
         (line,) = [l for l in trailer_lines(out) if "conserved" in l]
         assert "u_drift" in line and "z_drift" in line
+
+    def test_long_flow_conserves_u_and_z_exactly(self, capsys):
+        code, out, _ = run_cli(
+            ["flow", "--hz", "1", "--start", "equator", "--t", "1000", "--samples", "200"],
+            capsys,
+        )
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 201
+        assert trailer_lines(out) == ["# conserved u_drift 0.000e+00 z_drift 0.000e+00"]
 
     def test_constraint_violation_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -284,6 +309,41 @@ class TestFreeze:
         assert code == 0
         _, rows = parse_csv(out)
         assert abs(rows[0][2] - 1.0) <= 1e-12
+
+
+NUMERIC_BASE = {
+    "survival": ["survival", "--hamiltonian", "sigma_x", "--state", "e1", "--t-max=1"],
+    "converge": ["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "8"],
+    "flow": ["flow", "--start", "equator", "--t=1"],
+    "freeze": ["freeze", "--t=1"],
+}
+NUMERIC_FLAGS = [
+    ("survival", "--t-max"),
+    ("converge", "--t"),
+    *[(cmd, flag) for cmd in ("flow", "freeze") for flag in ("--t", "--h0", "--hx", "--hy", "--hz")],
+]
+
+
+def assert_clean_usage_error(argv, flag, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+    def test_non_finite_value_names_the_flag(self, command, flag, value, capsys):
+        # The later --flag=value overrides any default in the base argv.
+        assert_clean_usage_error(NUMERIC_BASE[command] + [f"{flag}={value}"], flag, capsys)
+
+    def test_step_count_overflow_names_t(self, capsys):
+        argv = ["flow", "--hz", "1e300", "--start", "equator", "--t", "1e300"]
+        assert_clean_usage_error(argv, "--t", capsys)
 
 
 class TestUsageErrors:

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from zenogeo.linalg import (
     expm_antihermitian,
     normalize,
     short_time_coefficient,
-    spectral_norm,
     survival_amplitude,
     survival_probability,
     variance,
@@ -186,6 +189,34 @@ class TestSurvival:
             H = random_hermitian(rng, 5)
             assert abs(survival_amplitude(psi, H, float(rng.uniform(-8, 8)))) <= 1 + 1e-10
 
+    def test_probability_at_time_zero_is_exactly_one(self):
+        rng = np.random.default_rng(2024)
+        for n, draws in ((2, 300), (16, 300), (64, 300), (200, 30)):
+            for _ in range(draws):
+                H = random_hermitian(rng, n)
+                psi = random_state(rng, n)
+                assert survival_probability(psi, H, 0.0) == 1.0
+
+    def test_array_of_times_matches_scalar_calls(self):
+        rng = np.random.default_rng(10)
+        psi = random_state(rng, 8)
+        H = random_hermitian(rng, 8)
+        ts = np.linspace(0.0, 4.0, 33)
+        amps = survival_amplitude(psi, H, ts)
+        probs = survival_probability(psi, H, ts)
+        assert amps.shape == probs.shape == (33,)
+        assert probs[0] == 1.0
+        for t, a, p in zip(ts, amps, probs):
+            assert abs(a - survival_amplitude(psi, H, float(t))) <= 1e-15
+            assert abs(p - survival_probability(psi, H, float(t))) <= 1e-15
+            assert abs(a - np.vdot(psi, evolve(psi, H, float(t)))) <= 1e-13
+
+    def test_rejects_non_finite_and_matrix_times(self):
+        with pytest.raises(ValueError, match="finite"):
+            survival_probability(E1, SIGMA_X, [0.0, math.nan])
+        with pytest.raises(ValueError, match="1-D"):
+            survival_amplitude(E1, SIGMA_X, np.zeros((2, 2)))
+
 
 class TestZenoTime:
     def test_sigma_x_on_basis_state(self):
@@ -235,21 +266,6 @@ class TestShortTimeCoefficient:
             assert abs(c - var) <= 1e-6 * max(var, 1e-12)
 
 
-class TestSpectralNorm:
-    def test_matches_svd(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            n = int(rng.integers(1, 9))
-            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            assert abs(spectral_norm(M) - np.linalg.norm(M, 2)) < 1e-8
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-
-    def test_degenerate_top_singular_values(self):
-        assert abs(spectral_norm(np.eye(4) * 2.5) - 2.5) < 1e-10
-
-
 class TestValidation:
     def test_normalize(self):
         psi = normalize(np.array([3.0, 4.0]))
@@ -279,3 +295,18 @@ class TestValidation:
 class TestExtrapolationDiagnostics:
     def test_extrapolation_error_type_exists(self):
         assert issubclass(ExtrapolationError, RuntimeError)
+
+
+def test_import_needs_numpy_only():
+    # Every top-level package that importing zenogeo loads is zenogeo,
+    # numpy or part of the standard library.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; before = set(sys.modules); import zenogeo; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'zenogeo'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

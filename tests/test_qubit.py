@@ -13,10 +13,12 @@ from zenogeo.qubit import (
     analytic_frozen_phase,
     bloch_map,
     default_flow_steps,
+    flow_matrix,
     frozen_state_check,
     integrate_zeno_flow,
     qubit_expectation,
     qubit_zeno_time,
+    rk4_step_matrix,
     zeno_flow_generator,
     zeno_rotation_rate,
 )
@@ -177,28 +179,62 @@ class TestFlowGenerator:
         assert abs(linalg.expectation_value(HZ, psi) - want) <= 1e-12
 
 
+class TestRk4StepMatrix:
+    def test_matches_closed_form_rotation(self):
+        w = 1.3
+        T = rk4_step_matrix(np.array([[0.0, -w], [w, 0.0]]), 1e-3)
+        end = np.linalg.matrix_power(T, 2000) @ np.array([1.0, 0.0])
+        t = 2.0
+        assert np.allclose(end, [math.cos(w * t), math.sin(w * t)], atol=1e-10)
+
+    def test_records_every_sample(self):
+        T = rk4_step_matrix(np.zeros((3, 3)), 0.1)
+        out = zeno.orbit(T, 1, np.array([1.0, 2.0, 3.0]), 5)
+        assert out.shape == (6, 3)
+        assert np.all(out == out[0])
+
+    def test_is_one_classical_rk4_step(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((6, 6))
+        y = rng.standard_normal(6)
+        dt = 1e-2
+        k1 = A @ y
+        k2 = A @ (y + 0.5 * dt * k1)
+        k3 = A @ (y + 0.5 * dt * k2)
+        k4 = A @ (y + dt * k3)
+        want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(rk4_step_matrix(A, dt) @ y - want)) <= 1e-14
+
+    def test_conserved_rows_are_exact_identity_rows(self):
+        T = rk4_step_matrix(flow_matrix(QubitHamiltonian(0.3, 0.0, 0.0, 0.9)), 0.01)
+        W = np.linalg.matrix_power(T, 12345)
+        for M in (T, W):
+            assert np.array_equal(M[[0, 3]], np.eye(4)[[0, 3]])
+            assert np.array_equal(M[:, [0, 3]], np.eye(4)[:, [0, 3]])
+
+
 class TestIntegrateFlow:
     def test_north_pole_is_stationary(self):
-        traj = integrate_zeno_flow(QubitHamiltonian(0.3, 1.0, 0.5, 0.7), BlochPoint(1, 0, 0, 1), 2.0)
+        traj = integrate_zeno_flow(QubitHamiltonian(0.3, 1.0, 0.5, 0.7), BlochPoint(1, 0, 0, 1), 2.0, samples=1)
         final = traj[-1]
         assert np.allclose(final.as_array(), [1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_equator_quarter_turn(self):
         # Unit rate: at t = pi/2 the equatorial point advances a quarter turn.
         traj = integrate_zeno_flow(
-            QubitHamiltonian(0.0, 0.0, 0.0, 1.0), BlochPoint(1, 1, 0, 0), math.pi / 2
+            QubitHamiltonian(0.0, 0.0, 0.0, 1.0), BlochPoint(1, 1, 0, 0), math.pi / 2, samples=1
         )
         assert np.max(np.abs(traj[-1].as_array() - np.array([1.0, 0.0, 1.0, 0.0]))) <= 1e-6
 
     def test_equator_half_turn_antipode(self):
         traj = integrate_zeno_flow(
-            QubitHamiltonian(0.5, 0.0, 0.0, 0.5), BlochPoint(1, 1, 0, 0), math.pi
+            QubitHamiltonian(0.5, 0.0, 0.0, 0.5), BlochPoint(1, 1, 0, 0), math.pi, samples=1
         )
         assert np.max(np.abs(traj[-1].as_array() - np.array([1.0, -1.0, 0.0, 0.0]))) <= 1e-6
 
     def test_zero_rate_identity(self):
         traj = integrate_zeno_flow(
-            QubitHamiltonian(1.0, 0.4, 0.2, -1.0), BlochPoint(1, 1, 0, 0), 5.0
+            QubitHamiltonian(1.0, 0.4, 0.2, -1.0), BlochPoint(1, 1, 0, 0), 5.0, samples=5
         )
         for b in traj[:: len(traj) // 5]:
             assert np.allclose(b.as_array(), [1.0, 1.0, 0.0, 0.0], atol=1e-12)
@@ -209,7 +245,7 @@ class TestIntegrateFlow:
             hq = random_qubit_hamiltonian(rng)
             start = bloch_map(random_state(rng, 2))
             t = float(rng.uniform(0.5, 4.0))
-            traj = integrate_zeno_flow(hq, start, t)
+            traj = integrate_zeno_flow(hq, start, t, samples=20)
             for b in traj[:: max(1, len(traj) // 20)]:
                 assert abs(b.u - start.u) <= 1e-9 * t
                 assert abs(b.z - start.z) <= 1e-9 * t
@@ -218,7 +254,7 @@ class TestIntegrateFlow:
     def test_rotation_rate_doubles_with_rate(self):
         # Measure the rotation angle over a fixed time and compare rates.
         def angle_after(hq, t):
-            traj = integrate_zeno_flow(hq, BlochPoint(1, 1, 0, 0), t)
+            traj = integrate_zeno_flow(hq, BlochPoint(1, 1, 0, 0), t, samples=1)
             b = traj[-1]
             return math.atan2(b.y, b.x)
 
@@ -230,11 +266,39 @@ class TestIntegrateFlow:
 
     def test_rejects_constraint_violation(self):
         with pytest.raises(ValueError, match="constraint"):
-            integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1), BlochPoint(1, 1, 1, 1), 1.0)
+            integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1), BlochPoint(1, 1, 1, 1), 1.0, samples=1)
 
     def test_default_steps_scale_with_rate_and_time(self):
         assert default_flow_steps(QubitHamiltonian(0, 0, 0, 0.1), 1.0) == 1000
         assert default_flow_steps(QubitHamiltonian(50.0, 0, 0, 0.0), 2.0) == 10000
+
+    def test_default_steps_reject_overflow(self):
+        with pytest.raises(ValueError, match="not finite"):
+            default_flow_steps(QubitHamiltonian(0, 0, 0, 1e300), 1e300)
+
+    def test_output_size_follows_samples_not_steps(self):
+        hq = QubitHamiltonian(0.0, 0.0, 0.0, 1.0)
+        start = BlochPoint(1, 1, 0, 0)
+        traj = integrate_zeno_flow(hq, start, 1e6, samples=200)
+        assert len(traj) == 201
+        assert all(b.u == 1.0 and b.z == 0.0 for b in traj)
+        # 10^8 hidden steps of h = 0.01: row k is R(ih)^(k * 500000) with R
+        # the degree-4 Taylor polynomial of exp, RK4's stability function.
+        z = 0.01j
+        R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        want = np.exp(np.arange(201) * 500_000 * np.log(R))
+        got = np.array([b.x + 1j * b.y for b in traj])
+        assert np.max(np.abs(got - want)) <= 1e-7
+
+    def test_steps_round_up_to_whole_samples(self):
+        # 1000 steps over 7 samples become 143 steps per sample: the points
+        # are those of a 1001-step run at every 143rd step.
+        hq = QubitHamiltonian(0.0, 0.0, 0.0, 1.0)
+        start = BlochPoint(1, 1, 0, 0)
+        sampled = integrate_zeno_flow(hq, start, 2.0, samples=7, steps=1000)
+        every = integrate_zeno_flow(hq, start, 2.0, samples=1001, steps=1001)
+        for got, want in zip(sampled, every[::143]):
+            assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-12
 
 
 class TestFrozenState:
@@ -269,7 +333,7 @@ class TestConsistencyTriangle:
             HZ = zeno.zeno_hamiltonian(hq.matrix(), PROJECTOR_UP)
             psi_t = linalg.expm_antihermitian(HZ, t) @ psi
             want = bloch_map(psi_t).as_array()
-            got = integrate_zeno_flow(hq, bloch_map(psi), t)[-1].as_array()
+            got = integrate_zeno_flow(hq, bloch_map(psi), t, samples=1)[-1].as_array()
             assert np.max(np.abs(got - want)) <= 1e-7
 
     def test_prepared_state_full_projected_map(self):
@@ -282,5 +346,5 @@ class TestConsistencyTriangle:
             t = float(rng.uniform(0.2, 3.0))
             UZ = zeno.zeno_limit_unitary(hq.matrix(), PROJECTOR_UP, t)
             want = bloch_map(UZ @ psi).as_array()
-            got = integrate_zeno_flow(hq, bloch_map(psi), t)[-1].as_array()
+            got = integrate_zeno_flow(hq, bloch_map(psi), t, samples=1)[-1].as_array()
             assert np.max(np.abs(got - want)) <= 1e-7

@@ -87,7 +87,27 @@ class TestZenoProduct:
             setup = random_setup(rng, n, int(rng.integers(1, n + 1)))
             N = int(rng.integers(1, 40))
             V = zeno_product(setup, float(rng.uniform(0.1, 3.0)), N)
-            assert linalg.spectral_norm(V) <= 1.0 + 1e-10
+            assert np.linalg.norm(V, 2) <= 1.0 + 1e-10
+
+    def test_matches_left_to_right_product(self):
+        rng = np.random.default_rng(2)
+        setup = random_setup(rng, 4, 2)
+        for N in (1, 2, 5, 13):
+            step = zeno.measured_step(setup, 1.3, N)
+            chain = step
+            for _ in range(N - 1):
+                chain = chain @ step
+            assert np.max(np.abs(zeno_product(setup, 1.3, N) - chain)) <= 1e-12
+
+
+class TestOrbit:
+    def test_record_grid(self):
+        V = np.diag([0.5, 1.0]).astype(complex)
+        psi0 = np.array([1.0, 1.0], dtype=complex)
+        out = zeno.orbit(V, 2, psi0, 4)
+        assert out.shape == (5, 2)
+        for r in range(5):
+            assert np.allclose(out[r], [0.5 ** (2 * r), 1.0], atol=1e-15)
 
 
 class TestZenoHamiltonian:
@@ -166,6 +186,11 @@ class TestConvergenceScan:
         points = convergence_scan(setup, 1.0, [2, 8, 32])
         assert all(p.error_spectral <= 1e-12 for p in points)
         assert fit_convergence_slope(points) is None
+
+    def test_single_usable_error_gives_nan_slope(self):
+        points = convergence_scan(sigma_x_setup(), 1.0, [8])
+        assert points[0].error_spectral > 0.05
+        assert math.isnan(fit_convergence_slope(points))
 
     def test_generic_slope_near_minus_one(self):
         rng = np.random.default_rng(6)
