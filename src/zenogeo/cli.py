@@ -8,10 +8,10 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +27,16 @@ class CliInputError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    fmt: str
-    seed: int
-    out: str | None
-
-
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_text(config: ExperimentConfig, text: str) -> None:
-    if config.out is None:
+def _write_text(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(config.out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliInputError("--out", str(exc)) from exc
@@ -68,15 +60,15 @@ def _jsonable(v):
 
 
 def _emit_table(
-    config: ExperimentConfig,
+    args,
     header: list[str],
     rows: list[list[float]],
     trailer: list[str] | None = None,
     extra: dict | None = None,
 ) -> None:
     trailer = trailer or []
-    if config.fmt == "csv":
-        _write_text(config, _render_csv(header, rows, trailer))
+    if args.format == "csv":
+        _write_text(args, _render_csv(header, rows, trailer))
         return
     payload: dict = {
         "rows": [
@@ -85,11 +77,82 @@ def _emit_table(
     }
     if extra:
         payload.update({k: _jsonable(v) for k, v in extra.items()})
-    _write_text(config, _render_json(payload))
+    _write_text(args, _render_json(payload))
 
 
 # ----------------------------------------------------------------------
-# input-spec parsing
+# input-spec parsing: one parser per flag, returning a validated value; the
+# helpers recognise one spec form each and raise ValueError.
+
+
+@contextlib.contextmanager
+def _charged_to(field: str):
+    """Report a ValueError, OSError or finite_float error as one of field."""
+    try:
+        yield
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        raise CliInputError(field, str(exc)) from exc
+
+
+def finite_float(text: str) -> float:
+    """argparse type for a finite number; argparse names the flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for a seed; argparse names the flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def _four_numbers(spec: str, form: str) -> list[float]:
+    """The four finite numbers of a comma-separated spec such as u,x,y,z."""
+    parts = spec.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected {form}, got {spec!r}")
+    return [finite_float(p) for p in parts]
+
+
+def _basis_index(spec: str, dim: int) -> int | None:
+    """k - 1 for an e<k> spec with k in 1..dim; None for any other spec."""
+    if not (spec.startswith("e") and spec[1:].isdecimal()):
+        return None
+    k = int(spec[1:])
+    if not 1 <= k <= dim:
+        raise ValueError(f"basis index {spec!r} outside 1..{dim}")
+    return k - 1
+
+
+def _random_count(spec: str, what: str, most: int | None = None) -> int | None:
+    """n for a random:<n> spec with n in 1..most; None for any other spec."""
+    if not spec.startswith("random:"):
+        return None
+    try:
+        n = int(spec[len("random:") :])
+    except ValueError:
+        raise ValueError(f"random preset needs a {what}, got {spec!r}") from None
+    if n < 1:
+        raise ValueError(f"random {what} must be >= 1, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"random {what} must be <= {most}, got {n}")
+    return n
+
+
+def _load(spec: str, load, what: str, dim: int | None = None) -> np.ndarray:
+    """Read a jsonio file, of dimension dim when given, for the parser to
+    validate like a preset."""
+    try:
+        value = load(spec)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what} from {spec!r}: {exc}") from exc
+    if dim is not None and len(value) != dim:
+        raise ValueError(f"{what} has dim {len(value)}, Hamiltonian has {dim}")
+    return value
 
 
 def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -103,111 +166,69 @@ def _random_rank_projector(rng: np.random.Generator, n: int, r: int) -> np.ndarr
     return Q @ Q.conj().T
 
 
+_PAULI = {"sigma_x": linalg.SIGMA_X, "sigma_y": linalg.SIGMA_Y, "sigma_z": linalg.SIGMA_Z}
+_BLOCH_STARTS = {
+    "north": qubit.BlochPoint(1.0, 0.0, 0.0, 1.0),
+    "south": qubit.BlochPoint(1.0, 0.0, 0.0, -1.0),
+    "equator": qubit.BlochPoint(1.0, 1.0, 0.0, 0.0),
+}
+
+
 def parse_hamiltonian_spec(spec: str, rng: np.random.Generator) -> np.ndarray:
-    field = "--hamiltonian"
-    presets = {"sigma_x": linalg.SIGMA_X, "sigma_y": linalg.SIGMA_Y, "sigma_z": linalg.SIGMA_Z}
-    if spec in presets:
-        return presets[spec].copy()
-    if spec.startswith("qubit:"):
-        parts = spec[len("qubit:") :].split(",")
-        if len(parts) != 4:
-            raise CliInputError(field, f"qubit preset needs h0,hx,hy,hz, got {spec!r}")
-        try:
-            h0, hx, hy, hz = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliInputError(field, f"non-numeric qubit component in {spec!r}") from exc
-        return qubit.QubitHamiltonian(h0, hx, hy, hz).matrix()
-    if spec.startswith("random:"):
-        try:
-            n = int(spec[len("random:") :])
-        except ValueError as exc:
-            raise CliInputError(field, f"random preset needs a dimension, got {spec!r}") from exc
-        if n < 1:
-            raise CliInputError(field, f"random dimension must be >= 1, got {n}")
-        return _random_hermitian(rng, n)
-    try:
-        H = jsonio.load_matrix(spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise CliInputError(field, f"cannot read matrix from {spec!r}: {exc}") from exc
-    try:
+    with _charged_to("--hamiltonian"):
+        n = _random_count(spec, "dimension")
+        if spec in _PAULI:
+            H = _PAULI[spec]
+        elif spec.startswith("qubit:"):
+            h = _four_numbers(spec[len("qubit:") :], "h0,hx,hy,hz")
+            H = qubit.QubitHamiltonian(*h).matrix()
+        elif n is not None:
+            H = _random_hermitian(rng, n)
+        else:
+            H = _load(spec, jsonio.load_matrix, "matrix")
         return linalg.require_hermitian(H)
-    except ValueError as exc:
-        raise CliInputError(field, str(exc)) from exc
 
 
 def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
-    field = "--state"
-    if spec.startswith("e") and spec[1:].isdigit():
-        k = int(spec[1:])
-        if not 1 <= k <= dim:
-            raise CliInputError(field, f"basis index {spec!r} outside 1..{dim}")
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[k - 1] = 1.0
-        return psi
-    if spec == "plus":
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = psi[1] = 1.0
-        return psi / math.sqrt(2.0)
-    if spec == "random":
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return psi / math.sqrt(linalg.norm_sq(psi))
-    try:
-        psi = jsonio.load_state(spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise CliInputError(field, f"cannot read state from {spec!r}: {exc}") from exc
-    if psi.size != dim:
-        raise CliInputError(field, f"state has dim {psi.size}, Hamiltonian has {dim}")
-    return psi
+    with _charged_to("--state"):
+        k = _basis_index(spec, dim)
+        if k is not None:
+            psi = np.zeros(dim, dtype=np.complex128)
+            psi[k] = 1.0
+        elif spec == "plus":
+            if dim < 2:
+                raise ValueError(f"plus needs dimension >= 2, got {dim}")
+            psi = np.zeros(dim, dtype=np.complex128)
+            psi[:2] = 1.0
+        elif spec == "random":
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        else:
+            psi = _load(spec, jsonio.load_state, "state", dim)
+        return linalg.normalize(psi)
 
 
 def parse_projector_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
-    field = "--projector"
-    if spec.startswith("e") and spec[1:].isdigit():
-        k = int(spec[1:])
-        if not 1 <= k <= dim:
-            raise CliInputError(field, f"basis index {spec!r} outside 1..{dim}")
-        P = np.zeros((dim, dim), dtype=np.complex128)
-        P[k - 1, k - 1] = 1.0
-        return P
-    if spec == "identity":
-        return np.eye(dim, dtype=np.complex128)
-    if spec.startswith("random:"):
-        try:
-            r = int(spec[len("random:") :])
-        except ValueError as exc:
-            raise CliInputError(field, f"random preset needs a rank, got {spec!r}") from exc
-        if not 1 <= r <= dim:
-            raise CliInputError(field, f"rank {r} outside 1..{dim}")
-        return _random_rank_projector(rng, dim, r)
-    try:
-        P = jsonio.load_matrix(spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise CliInputError(field, f"cannot read projector from {spec!r}: {exc}") from exc
-    if P.shape[0] != dim:
-        raise CliInputError(field, f"projector has dim {P.shape[0]}, Hamiltonian has {dim}")
-    try:
+    with _charged_to("--projector"):
+        k = _basis_index(spec, dim)
+        r = _random_count(spec, "rank", most=dim)
+        if k is not None:
+            P = np.zeros((dim, dim), dtype=np.complex128)
+            P[k, k] = 1.0
+        elif spec == "identity":
+            P = np.eye(dim, dtype=np.complex128)
+        elif r is not None:
+            P = _random_rank_projector(rng, dim, r)
+        else:
+            P = _load(spec, jsonio.load_matrix, "projector", dim)
         return linalg.require_projector(P)
-    except ValueError as exc:
-        raise CliInputError(field, str(exc)) from exc
 
 
 def parse_bloch_start(spec: str) -> qubit.BlochPoint:
-    field = "--start"
-    named = {
-        "north": qubit.BlochPoint(1.0, 0.0, 0.0, 1.0),
-        "south": qubit.BlochPoint(1.0, 0.0, 0.0, -1.0),
-        "equator": qubit.BlochPoint(1.0, 1.0, 0.0, 0.0),
-    }
-    if spec in named:
-        return named[spec]
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise CliInputError(field, f"expected u,x,y,z or a named start, got {spec!r}")
-    try:
-        u, x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise CliInputError(field, f"non-numeric component in {spec!r}") from exc
-    return qubit.BlochPoint(u, x, y, z)
+    with _charged_to("--start"):
+        if spec in _BLOCH_STARTS:
+            return _BLOCH_STARTS[spec]
+        start = qubit.BlochPoint(*_four_numbers(spec, "u,x,y,z or a named start"))
+        return qubit.require_on_sphere(start)
 
 
 def _prepared_state(P: np.ndarray) -> np.ndarray:
@@ -222,45 +243,31 @@ def _prepared_state(P: np.ndarray) -> np.ndarray:
 # subcommand handlers
 
 
-def _config(args, command: str) -> ExperimentConfig:
-    return ExperimentConfig(command=command, fmt=args.format, seed=args.seed, out=args.out)
-
-
 def handle_survival(args) -> int:
-    config = _config(args, "survival")
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    try:
-        psi0 = linalg.normalize(psi0)
-    except ValueError as exc:
-        raise CliInputError("--state", str(exc)) from exc
     if args.t_max <= 0 or args.samples < 2:
         raise CliInputError("--t-max/--samples", "need t-max > 0 and samples >= 2")
     var = linalg.variance(H, psi0)
     ts = np.linspace(0.0, args.t_max, args.samples)
     ps = linalg.survival_probability(psi0, H, ts)
     rows = [[t, p, 1.0 - var * t**2] for t, p in zip(ts.tolist(), ps.tolist())]
-    _emit_table(config, ["t", "p", "quadratic_approx"], rows)
+    _emit_table(args, ["t", "p", "quadratic_approx"], rows)
     return 0
 
 
 def handle_zeno_time(args) -> int:
-    config = _config(args, "zeno-time")
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    try:
-        var = linalg.variance(H, psi0)
-        tau = linalg.zeno_time(psi0, H)
-    except ValueError as exc:
-        raise CliInputError("--state", str(exc)) from exc
-    _emit_table(config, ["variance", "tau_z"], [[var, tau]])
+    var = linalg.variance(H, psi0)
+    tau = linalg.zeno_time(psi0, H)
+    _emit_table(args, ["variance", "tau_z"], [[var, tau]])
     return 0
 
 
 def handle_converge(args) -> int:
-    config = _config(args, "converge")
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     P = parse_projector_spec(args.projector, H.shape[0], rng)
@@ -277,31 +284,25 @@ def handle_converge(args) -> int:
     slope_label = "exact" if slope is None else _fmt(slope)
     rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
     _emit_table(
-        config,
+        args,
         ["N", "error_spectral", "error_frobenius"],
         rows,
         trailer=[f"slope {slope_label}"],
         extra={"slope": "exact" if slope is None else slope},
     )
-    if config.out is not None:
+    if args.out is not None:
         print(f"slope {slope_label}")
     return 0
 
 
 def handle_flow(args) -> int:
-    config = _config(args, "flow")
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
     start = parse_bloch_start(args.start)
     if args.samples < 1:
         raise CliInputError("--samples", "need samples >= 1")
-    try:
+    with _charged_to("--t"):
         steps = qubit.default_flow_steps(hq, args.t)
-    except ValueError as exc:
-        raise CliInputError("--t", str(exc)) from exc
-    try:
-        traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples, steps)
-    except ValueError as exc:
-        raise CliInputError("--start", str(exc)) from exc
+    traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples, steps)
     times = np.linspace(0.0, args.t, args.samples + 1)
     rows = [
         [float(t), b.u, b.x, b.y, b.z] for t, b in zip(times, traj)
@@ -310,7 +311,7 @@ def handle_flow(args) -> int:
     z_drift = max(abs(b.z - start.z) for b in traj)
     trailer = [f"conserved u_drift {u_drift:.3e} z_drift {z_drift:.3e}"]
     _emit_table(
-        config,
+        args,
         ["t", "u", "x", "y", "z"],
         rows,
         trailer=trailer,
@@ -320,7 +321,6 @@ def handle_flow(args) -> int:
 
 
 def handle_brackets(args) -> int:
-    config = _config(args, "brackets")
     n, trials = args.n, args.trials
     if not 1 <= n <= 16:
         raise CliInputError("--n", f"dimension must be in 1..16, got {n}")
@@ -346,7 +346,7 @@ def handle_brackets(args) -> int:
             if dev > worst[0]:
                 worst = (dev, trial, kind)
     ok = max(max_poisson, max_jordan) <= BRACKET_TOL
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "n": n,
             "trials": trials,
@@ -356,7 +356,7 @@ def handle_brackets(args) -> int:
             "tolerance": BRACKET_TOL,
             "pass": ok,
         }
-        _write_text(config, _render_json(payload))
+        _write_text(args, _render_json(payload))
     else:
         lines = [
             f"bracket identities: n={n} trials={trials} seed={args.seed}",
@@ -370,16 +370,15 @@ def handle_brackets(args) -> int:
                 f"FAIL (tolerance {_fmt(BRACKET_TOL)}); worst: trial {worst[1]} "
                 f"{worst[2]} deviation {_fmt(worst[0])}"
             )
-        _write_text(config, "\n".join(lines) + "\n")
+        _write_text(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
 def handle_freeze(args) -> int:
-    config = _config(args, "freeze")
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
     survival, phase = qubit.frozen_state_check(hq, args.t)
     _emit_table(
-        config,
+        args,
         ["t", "survival", "phase_re", "phase_im"],
         [[args.t, survival, phase.real, phase.imag]],
     )
@@ -388,14 +387,6 @@ def handle_freeze(args) -> int:
 
 # ----------------------------------------------------------------------
 # parser
-
-
-def finite_float(text: str) -> float:
-    """argparse type for a finite number; argparse names the flag."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for random presets")
+        p.add_argument("--seed", type=non_negative_int, default=0, help="seed for random presets")
+
+    def qubit_field(p: argparse.ArgumentParser) -> None:
+        for flag in ("--h0", "--hx", "--hy", "--hz"):
+            p.add_argument(flag, type=finite_float, default=0.0)
 
     p = sub.add_parser("survival", help="survival probability p(t) and its quadratic approximation")
     p.add_argument("--hamiltonian", required=True, help="path | sigma_x|sigma_y|sigma_z | qubit:h0,hx,hy,hz | random:n")
@@ -434,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=handle_converge)
 
     p = sub.add_parser("flow", help="Bloch trajectory of the limit dynamics")
-    p.add_argument("--h0", type=finite_float, default=0.0)
-    p.add_argument("--hx", type=finite_float, default=0.0)
-    p.add_argument("--hy", type=finite_float, default=0.0)
-    p.add_argument("--hz", type=finite_float, default=0.0)
+    qubit_field(p)
     p.add_argument("--start", required=True, help="north | south | equator | u,x,y,z")
     p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--samples", type=int, default=200)
@@ -451,10 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=handle_brackets)
 
     p = sub.add_parser("freeze", help="survival and phase of the prepared qubit state")
-    p.add_argument("--h0", type=finite_float, default=0.0)
-    p.add_argument("--hx", type=finite_float, default=0.0)
-    p.add_argument("--hy", type=finite_float, default=0.0)
-    p.add_argument("--hz", type=finite_float, default=0.0)
+    qubit_field(p)
     p.add_argument("--t", type=finite_float, required=True)
     common(p)
     p.set_defaults(handler=handle_freeze)

@@ -87,12 +87,6 @@ def projector_rank(P) -> int:
     return int(round(float(np.real(np.trace(np.asarray(P))))))
 
 
-def is_unitary(U, tol: float = 1e-10) -> bool:
-    U = np.asarray(U)
-    eye = np.eye(U.shape[0])
-    return bool(np.linalg.norm(U.conj().T @ U - eye) <= tol)
-
-
 def expm_antihermitian(H, t: float) -> np.ndarray:
     """Return exp(-i H t) for Hermitian H.
 

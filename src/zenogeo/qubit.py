@@ -80,7 +80,21 @@ class BlochPoint:
 
     def constraint_residual(self) -> float:
         """u^2 - (x^2 + y^2 + z^2); zero on images of pure states."""
-        return self.u**2 - (self.x**2 + self.y**2 + self.z**2)
+        # Products, not **: a huge coordinate overflows to inf, not OverflowError.
+        return self.u * self.u - (self.x * self.x + self.y * self.y + self.z * self.z)
+
+
+def require_on_sphere(point: BlochPoint) -> BlochPoint:
+    """Return point if u^2 = x^2 + y^2 + z^2 holds to CONSTRAINT_TOL (relative
+    to u^2 once u^2 > 1); a nan or overflowed residual fails."""
+    resid = point.constraint_residual()
+    tol = CONSTRAINT_TOL * max(1.0, point.u * point.u)
+    if not (math.isfinite(resid) and abs(resid) <= tol):
+        raise ValueError(
+            f"start violates the sphere constraint u^2 = x^2+y^2+z^2 "
+            f"(residual {resid:.3e})"
+        )
+    return point
 
 
 def bloch_map(psi) -> BlochPoint:
@@ -188,12 +202,7 @@ def integrate_zeno_flow(
     which the default step count keeps to about 1.4e-12 per radian turned
     (below 1e-8 up to |w t| = 7000).
     """
-    resid = start.constraint_residual()
-    if abs(resid) > CONSTRAINT_TOL * max(1.0, start.u**2):
-        raise ValueError(
-            f"start violates the sphere constraint u^2 = x^2+y^2+z^2 "
-            f"(residual {resid:.3e})"
-        )
+    require_on_sphere(start)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")

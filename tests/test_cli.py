@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenogeo import cli, jsonio
 from zenogeo.linalg import SIGMA_X
@@ -324,14 +326,20 @@ NUMERIC_FLAGS = [
 ]
 
 
-def assert_clean_usage_error(argv, flag, capsys):
+def run_clean(argv, capsys):
+    """run_cli, asserting no traceback on stderr and no RuntimeWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run_cli(argv, capsys)
-    assert code == 2
-    assert flag in err
+        code, out, err = run_cli(argv, capsys)
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out, err
+
+
+def assert_clean_usage_error(argv, flag, capsys):
+    code, _, err = run_clean(argv, capsys)
+    assert code == 2
+    assert flag in err
 
 
 class TestFiniteNumbers:
@@ -362,3 +370,87 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--state" in err
+
+
+# The input-spec grammar of the CLI, with sizes kept tiny: dims <= 4,
+# --samples <= 3, --n-max <= 16, --trials <= 2.
+SPEC_NUMBERS = ["0", "1", "-1", "2.5", "1e300", "inf", "-inf", "nan", "x", ""]
+four_numbers = st.lists(st.sampled_from(SPEC_NUMBERS), min_size=3, max_size=5).map(",".join)
+basis_specs = st.integers(-1, 9).map("e{}".format) | st.sampled_from(["e", "e\u00b2", "e01"])
+random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["random:", "random:x", "random:1.5"])
+hamiltonian_specs = (
+    st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
+)
+# "@name" stands for a file written by the spec_files fixture.
+state_specs = basis_specs | st.sampled_from(["plus", "random", "@zero_state", "@nan_state"])
+projector_specs = basis_specs | random_specs | st.sampled_from(["identity", "@non_projector"])
+start_specs = st.sampled_from(["north", "south", "equator"]) | four_numbers
+seeds = st.sampled_from(["-1", "0", "7"])
+SPEC_ARGVS = st.one_of(
+    st.builds(
+        lambda h, s, n, seed: ["survival", "--hamiltonian", h, "--state", s, "--t-max", "1",
+                               "--samples", n, "--seed", seed],
+        hamiltonian_specs, state_specs, st.sampled_from(["2", "3"]), seeds,
+    ),
+    st.builds(
+        lambda h, s, seed: ["zeno-time", "--hamiltonian", h, "--state", s, "--seed", seed],
+        hamiltonian_specs, state_specs, seeds,
+    ),
+    st.builds(
+        lambda h, p, n, seed: ["converge", "--hamiltonian", h, "--projector", p, "--n-max", n,
+                               "--seed", seed],
+        hamiltonian_specs, projector_specs, st.sampled_from(["8", "16"]), seeds,
+    ),
+    st.builds(
+        lambda s, n: ["flow", "--hz", "1", "--start", s, "--t", "1", "--samples", n],
+        start_specs, st.sampled_from(["1", "2", "3"]),
+    ),
+    st.builds(
+        lambda n, trials, seed: ["brackets", "--n", n, "--trials", trials, "--seed", seed],
+        st.sampled_from(["1", "2", "4"]), st.sampled_from(["1", "2"]), seeds,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("specs")
+    payloads = {
+        "@zero_state": jsonio.state_to_dict(np.zeros(2)),
+        "@nan_state": {"dim": 2, "re": [math.nan, 0.0], "im": [0.0, 0.0]},
+        "@non_projector": jsonio.matrix_to_dict(0.5 * np.eye(2)),
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        path = folder / f"{name[1:]}.json"
+        path.write_text(json.dumps(payload))
+        paths[name] = str(path)
+    return paths
+
+
+class TestSpecFuzz:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["survival", "--hamiltonian", "random:1", "--state", "plus", "--t-max", "1"], "--state"),
+            (["zeno-time", "--hamiltonian", "qubit:inf,1,0,0", "--state", "e1"], "--hamiltonian"),
+            (["flow", "--hz", "1", "--start", "1,nan,0,0", "--t", "1"], "--start"),
+            (["flow", "--hz", "1", "--start", "inf,inf,0,0", "--t", "1"], "--start"),
+            (["flow", "--hz=1", "--start", "1e300,2.5,1,-1", "--t=1"], "--start"),
+            (["brackets", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_bad_spec_names_its_flag(self, argv, flag, capsys):
+        assert_clean_usage_error(argv, flag, capsys)
+
+    @given(argv=SPEC_ARGVS)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_spec_exits_cleanly(self, argv, spec_files, capsys):
+        argv = [spec_files.get(a, a) for a in argv]
+        code, out, err = run_clean(argv, capsys)
+        assert code in (0, 2)
+        if code == 2:
+            message = err.strip().splitlines()[-1]
+            assert any(a in message for a in argv if a.startswith("--")), message
+        elif argv[0] == "flow":
+            assert "nan" not in out

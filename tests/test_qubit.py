@@ -18,6 +18,7 @@ from zenogeo.qubit import (
     integrate_zeno_flow,
     qubit_expectation,
     qubit_zeno_time,
+    require_on_sphere,
     rk4_step_matrix,
     zeno_flow_generator,
     zeno_rotation_rate,
@@ -267,6 +268,17 @@ class TestIntegrateFlow:
     def test_rejects_constraint_violation(self):
         with pytest.raises(ValueError, match="constraint"):
             integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1), BlochPoint(1, 1, 1, 1), 1.0, samples=1)
+
+    @pytest.mark.parametrize(
+        "start",
+        [(1, math.nan, 0, 0), (math.nan, 1, 0, 0), (1e300, 2.5, 1, -1), (1e300, 1e300, 0, 0)],
+    )
+    def test_rejects_nan_and_overflowing_starts(self, start):
+        # 1e300 squared overflows: the residual is inf or nan, never an OverflowError.
+        with pytest.raises(ValueError, match="constraint"):
+            require_on_sphere(BlochPoint(*start))
+        with pytest.raises(ValueError, match="constraint"):
+            integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1), BlochPoint(*start), 1.0, samples=1)
 
     def test_default_steps_scale_with_rate_and_time(self):
         assert default_flow_steps(QubitHamiltonian(0, 0, 0, 0.1), 1.0) == 1000
