@@ -18,6 +18,11 @@ import numpy as np
 from . import geometry, jsonio, linalg, qubit, zeno
 
 BRACKET_TOL = 1e-8
+#: Work budget: the largest random:<n> dimension (16 MB per n x n complex
+#: matrix at the bound) and the largest --n-max.  Past N = 2^25 the ladder's
+#: errors sit at the roundoff floor and grow again with N.
+RANDOM_DIM_MAX = 1024
+N_MAX = 2**20
 
 
 class CliInputError(Exception):
@@ -176,7 +181,7 @@ _BLOCH_STARTS = {
 
 def parse_hamiltonian_spec(spec: str, rng: np.random.Generator) -> np.ndarray:
     with _charged_to("--hamiltonian"):
-        n = _random_count(spec, "dimension")
+        n = _random_count(spec, "dimension", most=RANDOM_DIM_MAX)
         if spec in _PAULI:
             H = _PAULI[spec]
         elif spec.startswith("qubit:"):
@@ -251,8 +256,11 @@ def handle_survival(args) -> int:
         raise CliInputError("--t-max/--samples", "need t-max > 0 and samples >= 2")
     var = linalg.variance(H, psi0)
     ts = np.linspace(0.0, args.t_max, args.samples)
-    ps = linalg.survival_probability(psi0, H, ts)
-    rows = [[t, p, 1.0 - var * t**2] for t, p in zip(ts.tolist(), ps.tolist())]
+    with _charged_to("--t-max"):
+        ps = linalg.survival_probability(psi0, H, ts)
+    # var * t * t, not t**2: a float ** that overflows raises, a product
+    # gives inf, and var = 0 never meets an inf (0 * inf is nan).
+    rows = [[t, p, 1.0 - var * t * t] for t, p in zip(ts.tolist(), ps.tolist())]
     _emit_table(args, ["t", "p", "quadratic_approx"], rows)
     return 0
 
@@ -272,14 +280,15 @@ def handle_converge(args) -> int:
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     P = parse_projector_spec(args.projector, H.shape[0], rng)
     n_max = args.n_max
-    if n_max < 8 or n_max & (n_max - 1) != 0:
-        raise CliInputError("--n-max", f"must be a power of two >= 8, got {n_max}")
+    if not 8 <= n_max <= N_MAX or n_max & (n_max - 1) != 0:
+        raise CliInputError("--n-max", f"must be a power of two in 8..{N_MAX}, got {n_max}")
     psi0 = _prepared_state(P)
     setup = zeno.ZenoSetup(H, P, psi0)
     ladder = [8]
     while ladder[-1] < n_max:
         ladder.append(ladder[-1] * 2)
-    points = zeno.convergence_scan(setup, args.t, ladder)
+    with _charged_to("--t"):
+        points = zeno.convergence_scan(setup, args.t, ladder)
     slope = zeno.fit_convergence_slope(points)
     slope_label = "exact" if slope is None else _fmt(slope)
     rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
@@ -301,8 +310,7 @@ def handle_flow(args) -> int:
     if args.samples < 1:
         raise CliInputError("--samples", "need samples >= 1")
     with _charged_to("--t"):
-        steps = qubit.default_flow_steps(hq, args.t)
-    traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples, steps)
+        traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples)
     times = np.linspace(0.0, args.t, args.samples + 1)
     rows = [
         [float(t), b.u, b.x, b.y, b.z] for t, b in zip(times, traj)
@@ -376,7 +384,10 @@ def handle_brackets(args) -> int:
 
 def handle_freeze(args) -> int:
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
-    survival, phase = qubit.frozen_state_check(hq, args.t)
+    with _charged_to("--h0/--hx/--hy/--hz"):
+        linalg.require_hermitian(hq.matrix())
+    with _charged_to("--t"):
+        survival, phase = qubit.frozen_state_check(hq, args.t)
     _emit_table(
         args,
         ["t", "survival", "phase_re", "phase_im"],

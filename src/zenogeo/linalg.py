@@ -18,6 +18,10 @@ NORMALIZED_TOL = 1e-12
 VARIANCE_FLOOR = 1e-14
 #: Squared norms below this are rejected by the homogeneous formulas.
 NORM_SQ_FLOOR = 1e-14
+#: Operators whose dimension n times their largest real or imaginary part
+#: exceeds this are rejected: the bound keeps |A psi|^2 and the variance
+#: finite.
+OPERATOR_SCALE_MAX = 1e150
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -65,6 +69,12 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"operator must be a square matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out.view(np.float64))):
         raise ValueError("operator contains non-finite entries")
+    # Parts, not |A_ij|, which can overflow; |A_ij| <= sqrt(2) max part.
+    scale = out.shape[0] * float(np.max(np.abs(out.view(np.float64)), initial=0.0))
+    if scale > OPERATOR_SCALE_MAX:
+        raise ValueError(
+            f"operator scale n max|Re, Im A_ij| = {scale:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"
+        )
     dev = np.max(np.abs(out - out.conj().T))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -87,18 +97,27 @@ def projector_rank(P) -> int:
     return int(round(float(np.real(np.trace(np.asarray(P))))))
 
 
+def _require_finite_phases(E: np.ndarray, t) -> None:
+    """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
+    Python floats, where an overflow gives inf and no warning."""
+    phase = float(np.max(np.abs(E), initial=0.0)) * float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(phase):
+        raise ValueError(f"phase max|E| max|t| = {phase!r} is not finite")
+
+
 def expm_antihermitian(H, t: float) -> np.ndarray:
     """Return exp(-i H t) for Hermitian H.
 
     Eigenvector method for normal matrices: with H = V diag(E) V^dagger,
     exp(-i H t) = V diag(exp(-i E t)) V^dagger, unitary up to the roundoff
-    of ``eigh`` for any finite t.
+    of ``eigh`` for any t with finite phases E t.
     """
     H = require_hermitian(H)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     E, V = np.linalg.eigh(H)
+    _require_finite_phases(E, t)
     return (V * np.exp(-1j * E * t)) @ V.conj().T
 
 
@@ -143,6 +162,7 @@ def _amplitudes(psi0, H, t: np.ndarray) -> np.ndarray:
             f"dimension mismatch: state has dim {psi0.size}, operator {H.shape[0]}"
         )
     E, V = np.linalg.eigh(H)
+    _require_finite_phases(E, t)
     weights = np.abs(V.conj().T @ psi0) ** 2
     # One pass per eigenpair keeps memory at the size of t.
     a = np.zeros(t.shape, dtype=np.complex128)

@@ -27,9 +27,6 @@ import numpy as np
 
 from . import zeno
 from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     VARIANCE_FLOOR,
     as_state,
     norm_sq,
@@ -56,11 +53,13 @@ class QubitHamiltonian:
         return np.array([self.hx, self.hy, self.hz], dtype=np.float64)
 
     def matrix(self) -> np.ndarray:
-        return (
-            self.h0 * np.eye(2, dtype=np.complex128)
-            + self.hx * SIGMA_X
-            + self.hy * SIGMA_Y
-            + self.hz * SIGMA_Z
+        # Entrywise from Python floats: a sum that overflows gives inf, which
+        # require_hermitian rejects, and no numpy warning.  0.0 - hy, not
+        # -hy: hy = 0 gives +0.0, the bits of the Pauli sum.
+        h0, hx, hy, hz = self.h0, self.hx, self.hy, self.hz
+        return np.array(
+            [[h0 + hz, complex(hx, 0.0 - hy)], [complex(hx, 0.0 + hy), h0 - hz]],
+            dtype=np.complex128,
         )
 
 
@@ -141,19 +140,13 @@ def zeno_rotation_rate(hq: QubitHamiltonian) -> float:
     return hq.h0 + hq.hz
 
 
-def flow_matrix(hq: QubitHamiltonian) -> np.ndarray:
-    """Linear generator of the Bloch flow: udot = zdot = 0,
-    xdot = -w y, ydot = +w x with w = h0 + hz."""
+def zeno_flow_generator(hq: QubitHamiltonian):
+    """Right-hand side of the Bloch flow ODEs as a callable on (u,x,y,z):
+    udot = zdot = 0, xdot = -w y, ydot = +w x with w = h0 + hz."""
     w = zeno_rotation_rate(hq)
     M = np.zeros((4, 4), dtype=np.float64)
     M[1, 2] = -w
     M[2, 1] = w
-    return M
-
-
-def zeno_flow_generator(hq: QubitHamiltonian):
-    """Right-hand side of the Bloch flow ODEs as a callable on (u,x,y,z)."""
-    M = flow_matrix(hq)
 
     def rhs(point) -> np.ndarray:
         point = np.asarray(point, dtype=np.float64)
@@ -164,56 +157,29 @@ def zeno_flow_generator(hq: QubitHamiltonian):
     return rhs
 
 
-def default_flow_steps(hq: QubitHamiltonian, t: float) -> int:
-    """Fixed-step count keeping |w| * dt <= 1/100 and at least 1000 steps."""
-    w = abs(zeno_rotation_rate(hq))
-    scaled = 100.0 * w * abs(t)
-    if not math.isfinite(scaled):
-        raise ValueError(f"step count 100 |h0 + hz| |t| = {scaled!r} is not finite")
-    return max(1000, math.ceil(scaled))
-
-
-def rk4_step_matrix(A: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the linear flow y' = A y, which is exactly
-    y -> T y with T = sum_{j <= 4} (dt A)^j / j!."""
-    M = dt * A
-    T = term = np.eye(A.shape[0])
-    for j in range(1, 5):
-        term = term @ M / j
-        T = T + term
-    return T
-
-
 def integrate_zeno_flow(
-    hq: QubitHamiltonian,
-    start: BlochPoint,
-    t: float,
-    samples: int,
-    steps: int | None = None,
+    hq: QubitHamiltonian, start: BlochPoint, t: float, samples: int
 ) -> list[BlochPoint]:
-    """Classical RK4 trajectory of the Bloch flow from start to time t.
+    """Exact trajectory of the Bloch flow from start to time t.
 
-    Returns samples + 1 points at times k t / samples.  The step count is
-    rounded up to a whole number of steps per sample, and each sample is
-    reached by powering the RK4 step matrix, so the cost grows with
-    samples and the logarithm of steps.  u and z are conserved exactly by
-    construction (their rows of the step matrix are identity rows), so the
-    sphere radius |(x,y,z)| can only drift through the RK4 rotation error,
-    which the default step count keeps to about 1.4e-12 per radian turned
-    (below 1e-8 up to |w t| = 7000).
+    Returns samples + 1 points at the times t_k = linspace(0, t, samples + 1).
+    The flow is a rigid rotation: u and z are copied from start and
+    x + iy = (x0 + i y0) exp(i (h0 + hz) t_k), each sample computed from its
+    own t_k, so the cost grows with samples only and the radius |(x, y)|
+    holds to roundoff at any angle.  Raises ValueError when the angle
+    (h0 + hz) t is not finite.
     """
     require_on_sphere(start)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if steps is None:
-        steps = default_flow_steps(hq, t)
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    per = -(-steps // samples)  # ceiling division
-    T = rk4_step_matrix(flow_matrix(hq), float(t) / (per * samples))
-    return [BlochPoint(*row) for row in zeno.orbit(T, per, start.as_array(), samples)]
+    w = zeno_rotation_rate(hq)
+    angle = w * float(t)
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle (h0 + hz) t = {angle!r} is not finite")
+    ts = np.linspace(0.0, t, samples + 1)
+    xy = complex(start.x, start.y) * np.exp(1j * (w * ts))
+    return [BlochPoint(start.u, c.real, c.imag, start.z) for c in xy.tolist()]
 
 
 def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:

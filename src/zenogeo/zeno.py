@@ -122,16 +122,6 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
     return np.linalg.matrix_power(measured_step(setup, t, N), N)
 
 
-def orbit(step: np.ndarray, per: int, y0: np.ndarray, samples: int) -> np.ndarray:
-    """Rows y0, W y0, ..., W^samples y0 with W = step^per."""
-    W = np.linalg.matrix_power(step, per)
-    out = np.empty((samples + 1, y0.size), dtype=np.result_type(W, y0))
-    out[0] = y0
-    for k in range(samples):
-        out[k + 1] = W @ out[k]
-    return out
-
-
 def zeno_hamiltonian(H, P) -> np.ndarray:
     """Compression PHP of the Hamiltonian to the measured subspace."""
     H = require_hermitian(H)
@@ -212,7 +202,11 @@ def measured_trajectory(
             f"samples = {samples} is not commensurate with N = {N}: choose "
             f"samples dividing N so every sample falls on a measurement"
         )
-    states = orbit(measured_step(setup, t, N), N // samples, setup.initial_state, samples)
+    W = np.linalg.matrix_power(measured_step(setup, t, N), N // samples)
+    states = np.empty((samples + 1, setup.dim), dtype=np.complex128)
+    states[0] = setup.initial_state
+    for k in range(samples):
+        states[k + 1] = W @ states[k]
     times = np.linspace(0.0, t, samples + 1)
     probs = np.sum(np.abs(states) ** 2, axis=1)
     return ZenoTrajectory(times, states, probs, N)

@@ -170,7 +170,7 @@ def test_criterion_6_zeno_flow():
         h0, hx, hy, hz = (float(v) for v in rng.uniform(-2, 2, size=4))
         hq = qubit.QubitHamiltonian(h0, hx, hy, hz)
         t = float(rng.uniform(0.0, 5.0))
-        traj = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 0, 0, 1), t, samples=1, steps=1000)
+        traj = qubit.integrate_zeno_flow(hq, qubit.BlochPoint(1, 0, 0, 1), t, samples=1)
         assert np.max(np.abs(traj[-1].as_array() - np.array([1.0, 0.0, 0.0, 1.0]))) <= 1e-10
         survival, phase = qubit.frozen_state_check(hq, t)
         assert abs(survival - 1.0) <= 1e-10

@@ -171,6 +171,16 @@ class TestConverge:
         assert code == 2
         assert "idempotent" in err or "--projector" in err
 
+    @pytest.mark.parametrize(
+        "args", [["sigma_x", "--projector", "e1"], ["random:6", "--projector", "random:2", "--seed", "7"]]
+    )
+    def test_largest_n_max_gives_a_clean_slope(self, args, capsys):
+        # At N = 2^20 the error is still far above the roundoff floor.
+        code, out, _ = run_cli(["converge", "--hamiltonian", *args, "--n-max", "1048576"], capsys)
+        assert code == 0
+        (slope_line,) = trailer_lines(out)
+        assert -1.01 <= float(slope_line.split()[-1]) <= -0.99
+
     def test_bad_n_max_rejected(self, capsys):
         code, _, err = run_cli(
             ["converge", "--hamiltonian", "sigma_x", "--projector", "e1",
@@ -342,6 +352,19 @@ def assert_clean_usage_error(argv, flag, capsys):
     assert flag in err
 
 
+def assert_clean_exit(argv, capsys):
+    """run_clean with exit 0 or 2: at 2 the last stderr line names a flag of
+    argv, at 0 survival, flow and freeze print no nan."""
+    code, out, err = run_clean(argv, capsys)
+    assert code in (0, 2)
+    if code == 2:
+        message = err.strip().splitlines()[-1]
+        assert any(a.split("=")[0] in message for a in argv if a.startswith("--")), message
+    elif argv[0] in ("survival", "flow", "freeze"):
+        assert "nan" not in out
+    return code, out
+
+
 class TestFiniteNumbers:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
@@ -349,9 +372,47 @@ class TestFiniteNumbers:
         # The later --flag=value overrides any default in the base argv.
         assert_clean_usage_error(NUMERIC_BASE[command] + [f"{flag}={value}"], flag, capsys)
 
+    @pytest.mark.parametrize("value", ["1e200", "-1e200", "1e308", "-1e308"])
+    @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+    def test_huge_value_exits_cleanly(self, command, flag, value, capsys):
+        assert_clean_exit(NUMERIC_BASE[command] + [f"{flag}={value}"], capsys)
+
     def test_step_count_overflow_names_t(self, capsys):
         argv = ["flow", "--hz", "1e300", "--start", "equator", "--t", "1e300"]
         assert_clean_usage_error(argv, "--t", capsys)
+
+    def test_huge_t_max_gives_infinite_quadratic_approx(self, capsys):
+        argv = ["survival", "--hamiltonian", "sigma_x", "--state", "e1", "--t-max", "1e200", "--samples", "3"]
+        code, out = assert_clean_exit(argv, capsys)
+        assert code == 0
+        assert [quad for _, _, quad in parse_csv(out)[1]] == [1.0, -math.inf, -math.inf]
+
+    def test_huge_t_max_on_random_hamiltonian_exits_cleanly(self, capsys):
+        argv = ["survival", "--hamiltonian", "random:3", "--state", "random", "--t-max", "1e308", "--samples", "2"]
+        assert_clean_exit(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["survival", "--hamiltonian", "qubit:0,0,0,2", "--state", "plus", "--t-max", "1e308"], "--t-max"),
+            (["converge", "--hamiltonian", "qubit:0,1,0,2", "--projector", "e1", "--t", "1e308",
+              "--n-max", "8"], "--t"),
+            (["freeze", "--hz=2", "--t=1e308"], "--t"),
+        ],
+    )
+    def test_phase_overflow_names_the_time_flag(self, argv, flag, capsys):
+        # |E| t = 2e308 overflows although each number is finite.
+        assert_clean_usage_error(argv, flag, capsys)
+
+    @pytest.mark.parametrize(
+        "argv", ["--hz=1e300 --start equator --t=1 --samples 2", "--hz 1 --start equator --t 1e6 --samples 200"]
+    )
+    def test_large_angle_flow_stays_on_the_circle(self, argv, capsys):
+        code, out = assert_clean_exit(["flow", *argv.split()], capsys)
+        assert code == 0
+        radii = np.array([math.hypot(x, y) for _, _, x, y, _ in parse_csv(out)[1]])
+        assert np.max(np.abs(radii - 1.0)) <= 4 * np.spacing(1.0)
+        assert trailer_lines(out) == ["# conserved u_drift 0.000e+00 z_drift 0.000e+00"]
 
 
 class TestUsageErrors:
@@ -362,6 +423,12 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert cli.main(["survival", "--state", "e1", "--t-max", "1"]) == 2
         capsys.readouterr()
+
+    def test_random_dimension_budget(self, capsys):
+        # Just past the bound: a draw that slipped through would take 16 MB.
+        code, _, err = run_clean(["zeno-time", "--hamiltonian", "random:1025", "--state", "e1"], capsys)
+        assert code == 2
+        assert err.strip() == "error: --hamiltonian: random dimension must be <= 1024, got 1025"
 
     def test_state_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -438,6 +505,16 @@ class TestSpecFuzz:
             (["flow", "--hz", "1", "--start", "inf,inf,0,0", "--t", "1"], "--start"),
             (["flow", "--hz=1", "--start", "1e300,2.5,1,-1", "--t=1"], "--start"),
             (["brackets", "--seed", "-1"], "--seed"),
+            # Operator scale: n max|H_ij| above 1e150, or an overflowing entry.
+            (["zeno-time", "--hamiltonian", "qubit:0,1e300,0,1e300", "--state", "random"], "--hamiltonian"),
+            (["survival", "--hamiltonian", "qubit:0,1e300,0,1e300", "--state", "e1", "--t-max", "1",
+              "--samples", "2"], "--hamiltonian"),
+            (["zeno-time", "--hamiltonian", "qubit:1e308,0,0,1e308", "--state", "e1"], "--hamiltonian"),
+            (["freeze", "--h0=1e308", "--hz=1e308", "--t=1"], "--h0"),
+            # Work budget.
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "2097152"], "--n-max"),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max",
+              "4611686018427387904"], "--n-max"),
         ],
     )
     def test_bad_spec_names_its_flag(self, argv, flag, capsys):
@@ -446,11 +523,4 @@ class TestSpecFuzz:
     @given(argv=SPEC_ARGVS)
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_spec_exits_cleanly(self, argv, spec_files, capsys):
-        argv = [spec_files.get(a, a) for a in argv]
-        code, out, err = run_clean(argv, capsys)
-        assert code in (0, 2)
-        if code == 2:
-            message = err.strip().splitlines()[-1]
-            assert any(a in message for a in argv if a.startswith("--")), message
-        elif argv[0] == "flow":
-            assert "nan" not in out
+        assert_clean_exit([spec_files.get(a, a) for a in argv], capsys)

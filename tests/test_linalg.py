@@ -63,6 +63,11 @@ class TestExpm:
         with pytest.raises(ValueError, match="finite"):
             expm_antihermitian(SIGMA_X, math.inf)
 
+    def test_rejects_overflowing_phase(self):
+        # Finite t, but |E| t = 2e308 is not.
+        with pytest.raises(ValueError, match="phase"):
+            expm_antihermitian(2.0 * SIGMA_X, 1e308)
+
     @pytest.mark.parametrize("target_norm", [1.0, 10.0, 100.0])
     def test_accuracy_up_to_norm_100(self, target_norm):
         rng = np.random.default_rng(7)
@@ -217,6 +222,10 @@ class TestSurvival:
         with pytest.raises(ValueError, match="1-D"):
             survival_amplitude(E1, SIGMA_X, np.zeros((2, 2)))
 
+    def test_rejects_overflowing_phase(self):
+        with pytest.raises(ValueError, match="phase"):
+            survival_probability(E1, 2.0 * SIGMA_X, [0.0, 1e308])
+
 
 class TestZenoTime:
     def test_sigma_x_on_basis_state(self):
@@ -279,6 +288,12 @@ class TestValidation:
         A = np.array([[0.0, 1.0], [1.0 + 5e-12, 0.0]])
         with pytest.raises(ValueError):
             linalg.require_hermitian(A)
+
+    def test_operator_scale_bound(self):
+        # n max|A_ij| <= 1e150 keeps |A psi|^2 finite; 2 x 1e150 is past it.
+        linalg.require_hermitian(1e150 * np.diag([1.0, 0.0, 0.0]) / 3)
+        with pytest.raises(ValueError, match="scale"):
+            linalg.require_hermitian(1e150 * SIGMA_X)
 
     def test_projector_validation(self):
         linalg.require_projector(np.diag([1.0, 0.0, 1.0]))

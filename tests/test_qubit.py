@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_state, scaled_taylor_expm
 from zenogeo import geometry, linalg, zeno
 from zenogeo.qubit import (
     PROJECTOR_UP,
@@ -12,14 +12,11 @@ from zenogeo.qubit import (
     QubitHamiltonian,
     analytic_frozen_phase,
     bloch_map,
-    default_flow_steps,
-    flow_matrix,
     frozen_state_check,
     integrate_zeno_flow,
     qubit_expectation,
     qubit_zeno_time,
     require_on_sphere,
-    rk4_step_matrix,
     zeno_flow_generator,
     zeno_rotation_rate,
 )
@@ -180,40 +177,6 @@ class TestFlowGenerator:
         assert abs(linalg.expectation_value(HZ, psi) - want) <= 1e-12
 
 
-class TestRk4StepMatrix:
-    def test_matches_closed_form_rotation(self):
-        w = 1.3
-        T = rk4_step_matrix(np.array([[0.0, -w], [w, 0.0]]), 1e-3)
-        end = np.linalg.matrix_power(T, 2000) @ np.array([1.0, 0.0])
-        t = 2.0
-        assert np.allclose(end, [math.cos(w * t), math.sin(w * t)], atol=1e-10)
-
-    def test_records_every_sample(self):
-        T = rk4_step_matrix(np.zeros((3, 3)), 0.1)
-        out = zeno.orbit(T, 1, np.array([1.0, 2.0, 3.0]), 5)
-        assert out.shape == (6, 3)
-        assert np.all(out == out[0])
-
-    def test_is_one_classical_rk4_step(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((6, 6))
-        y = rng.standard_normal(6)
-        dt = 1e-2
-        k1 = A @ y
-        k2 = A @ (y + 0.5 * dt * k1)
-        k3 = A @ (y + 0.5 * dt * k2)
-        k4 = A @ (y + dt * k3)
-        want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.max(np.abs(rk4_step_matrix(A, dt) @ y - want)) <= 1e-14
-
-    def test_conserved_rows_are_exact_identity_rows(self):
-        T = rk4_step_matrix(flow_matrix(QubitHamiltonian(0.3, 0.0, 0.0, 0.9)), 0.01)
-        W = np.linalg.matrix_power(T, 12345)
-        for M in (T, W):
-            assert np.array_equal(M[[0, 3]], np.eye(4)[[0, 3]])
-            assert np.array_equal(M[:, [0, 3]], np.eye(4)[:, [0, 3]])
-
-
 class TestIntegrateFlow:
     def test_north_pole_is_stationary(self):
         traj = integrate_zeno_flow(QubitHamiltonian(0.3, 1.0, 0.5, 0.7), BlochPoint(1, 0, 0, 1), 2.0, samples=1)
@@ -280,37 +243,36 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError, match="constraint"):
             integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1), BlochPoint(*start), 1.0, samples=1)
 
-    def test_default_steps_scale_with_rate_and_time(self):
-        assert default_flow_steps(QubitHamiltonian(0, 0, 0, 0.1), 1.0) == 1000
-        assert default_flow_steps(QubitHamiltonian(50.0, 0, 0, 0.0), 2.0) == 10000
-
-    def test_default_steps_reject_overflow(self):
+    def test_rejects_non_finite_angle(self):
         with pytest.raises(ValueError, match="not finite"):
-            default_flow_steps(QubitHamiltonian(0, 0, 0, 1e300), 1e300)
+            integrate_zeno_flow(QubitHamiltonian(0, 0, 0, 1e300), BlochPoint(1, 1, 0, 0), 1e300, samples=1)
 
     def test_output_size_follows_samples_not_steps(self):
+        # 10^6 radians: the exact rotation at each sample time, on the
+        # unit circle to 4 ulp in every row.
         hq = QubitHamiltonian(0.0, 0.0, 0.0, 1.0)
         start = BlochPoint(1, 1, 0, 0)
         traj = integrate_zeno_flow(hq, start, 1e6, samples=200)
         assert len(traj) == 201
         assert all(b.u == 1.0 and b.z == 0.0 for b in traj)
-        # 10^8 hidden steps of h = 0.01: row k is R(ih)^(k * 500000) with R
-        # the degree-4 Taylor polynomial of exp, RK4's stability function.
-        z = 0.01j
-        R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        want = np.exp(np.arange(201) * 500_000 * np.log(R))
         got = np.array([b.x + 1j * b.y for b in traj])
-        assert np.max(np.abs(got - want)) <= 1e-7
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 4 * np.spacing(1.0)
+        want = np.exp(1j * np.linspace(0.0, 1e6, 201))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_steps_round_up_to_whole_samples(self):
-        # 1000 steps over 7 samples become 143 steps per sample: the points
-        # are those of a 1001-step run at every 143rd step.
-        hq = QubitHamiltonian(0.0, 0.0, 0.0, 1.0)
-        start = BlochPoint(1, 1, 0, 0)
-        sampled = integrate_zeno_flow(hq, start, 2.0, samples=7, steps=1000)
-        every = integrate_zeno_flow(hq, start, 2.0, samples=1001, steps=1001)
-        for got, want in zip(sampled, every[::143]):
-            assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-12
+    def test_matches_exponential_of_the_generator(self):
+        # The trajectory is exp(t_k M) start with M the matrix of
+        # zeno_flow_generator, computed by scaling and squaring.
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            hq = random_qubit_hamiltonian(rng)
+            start = bloch_map(random_state(rng, 2))
+            t = float(rng.uniform(-20.0, 20.0))
+            M = np.column_stack([zeno_flow_generator(hq)(e) for e in np.eye(4)])
+            traj = integrate_zeno_flow(hq, start, t, samples=8)
+            for tk, b in zip(np.linspace(0.0, t, 9), traj):
+                want = np.real(scaled_taylor_expm(tk * M) @ start.as_array())
+                assert np.max(np.abs(b.as_array() - want)) <= 1e-12
 
 
 class TestFrozenState:

@@ -100,16 +100,6 @@ class TestZenoProduct:
             assert np.max(np.abs(zeno_product(setup, 1.3, N) - chain)) <= 1e-12
 
 
-class TestOrbit:
-    def test_record_grid(self):
-        V = np.diag([0.5, 1.0]).astype(complex)
-        psi0 = np.array([1.0, 1.0], dtype=complex)
-        out = zeno.orbit(V, 2, psi0, 4)
-        assert out.shape == (5, 2)
-        for r in range(5):
-            assert np.allclose(out[r], [0.5 ** (2 * r), 1.0], atol=1e-15)
-
-
 class TestZenoHamiltonian:
     def test_transverse_rank_one_vanishes(self):
         assert np.max(np.abs(zeno_hamiltonian(SIGMA_X, P1))) <= 1e-15
@@ -251,6 +241,15 @@ class TestMeasuredTrajectory:
         traj = measured_trajectory(setup, 0.8, 1, 1)
         want = linalg.survival_probability(psi, H, 0.8)
         assert abs(traj.survival_probs[-1] - want) <= 1e-12
+
+    def test_record_grid(self):
+        # sigma_x measured on e1: each period is cos(t/N) |e1><e1|, so row k
+        # is cos(t/N)^(k N/samples) e1, starting from e1 itself.
+        traj = measured_trajectory(sigma_x_setup(), 2.0, 8, 4)
+        assert traj.states.shape == (5, 2)
+        assert np.array_equal(traj.states[0], E1)
+        for k in range(5):
+            assert np.allclose(traj.states[k], [math.cos(0.25) ** (2 * k), 0.0], atol=1e-15)
 
     def test_incommensurate_sampling_rejected(self):
         with pytest.raises(ValueError, match="dividing N"):
