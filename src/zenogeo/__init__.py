@@ -33,7 +33,6 @@ from .qubit import (
     bloch_map,
     frozen_state_check,
     integrate_zeno_flow,
-    qubit_expectation,
     qubit_zeno_time,
     zeno_flow_generator,
 )
@@ -42,7 +41,6 @@ from .zeno import (
     ZenoTrajectory,
     convergence_scan,
     measured_trajectory,
-    projector_from_basis,
     zeno_hamiltonian,
     zeno_limit_unitary,
     zeno_product,

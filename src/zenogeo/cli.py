@@ -23,6 +23,13 @@ BRACKET_TOL = 1e-8
 #: errors sit at the roundoff floor and grow again with N.
 RANDOM_DIM_MAX = 1024
 N_MAX = 2**20
+#: Work budget of the row-per-sample commands: the largest --samples of
+#: survival and flow, the largest dimension x --samples of survival (one
+#: pass over the sample times per eigenvalue) and the largest --trials of
+#: brackets.  Each runs in about 1-3 s at its bound.
+SAMPLES_MAX = 100_000
+SURVIVAL_WORK_MAX = RANDOM_DIM_MAX * 10_000
+TRIALS_MAX = 3000
 
 
 class CliInputError(Exception):
@@ -236,14 +243,6 @@ def parse_bloch_start(spec: str) -> qubit.BlochPoint:
         return qubit.require_on_sphere(start)
 
 
-def _prepared_state(P: np.ndarray) -> np.ndarray:
-    """A unit vector inside the measured subspace (for scans that need one)."""
-    diag = np.real(np.diag(P))
-    k = int(np.argmax(diag))
-    v = P[:, k]
-    return v / math.sqrt(linalg.norm_sq(v))
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers
 
@@ -254,6 +253,13 @@ def handle_survival(args) -> int:
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
     if args.t_max <= 0 or args.samples < 2:
         raise CliInputError("--t-max/--samples", "need t-max > 0 and samples >= 2")
+    if args.samples > SAMPLES_MAX:
+        raise CliInputError("--samples", f"must be <= {SAMPLES_MAX}, got {args.samples}")
+    if H.shape[0] * args.samples > SURVIVAL_WORK_MAX:
+        raise CliInputError(
+            "--samples",
+            f"dimension x samples = {H.shape[0]} x {args.samples} exceeds {SURVIVAL_WORK_MAX}",
+        )
     var = linalg.variance(H, psi0)
     ts = np.linspace(0.0, args.t_max, args.samples)
     with _charged_to("--t-max"):
@@ -282,8 +288,7 @@ def handle_converge(args) -> int:
     n_max = args.n_max
     if not 8 <= n_max <= N_MAX or n_max & (n_max - 1) != 0:
         raise CliInputError("--n-max", f"must be a power of two in 8..{N_MAX}, got {n_max}")
-    psi0 = _prepared_state(P)
-    setup = zeno.ZenoSetup(H, P, psi0)
+    setup = zeno.ZenoSetup(H, P)
     ladder = [8]
     while ladder[-1] < n_max:
         ladder.append(ladder[-1] * 2)
@@ -307,8 +312,11 @@ def handle_converge(args) -> int:
 def handle_flow(args) -> int:
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
     start = parse_bloch_start(args.start)
-    if args.samples < 1:
-        raise CliInputError("--samples", "need samples >= 1")
+    if not 1 <= args.samples <= SAMPLES_MAX:
+        raise CliInputError("--samples", f"must be in 1..{SAMPLES_MAX}, got {args.samples}")
+    rate = qubit.zeno_rotation_rate(hq)
+    if not math.isfinite(rate):
+        raise CliInputError("--h0/--hz", f"rotation rate h0 + hz = {rate!r} is not finite")
     with _charged_to("--t"):
         traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples)
     times = np.linspace(0.0, args.t, args.samples + 1)
@@ -332,8 +340,8 @@ def handle_brackets(args) -> int:
     n, trials = args.n, args.trials
     if not 1 <= n <= 16:
         raise CliInputError("--n", f"dimension must be in 1..16, got {n}")
-    if trials < 1:
-        raise CliInputError("--trials", f"need at least one trial, got {trials}")
+    if not 1 <= trials <= TRIALS_MAX:
+        raise CliInputError("--trials", f"must be in 1..{TRIALS_MAX}, got {trials}")
     rng = np.random.default_rng(args.seed)
     worst = (0.0, -1, "")
     max_poisson = 0.0

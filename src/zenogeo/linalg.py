@@ -93,10 +93,6 @@ def require_projector(P, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return P
 
 
-def projector_rank(P) -> int:
-    return int(round(float(np.real(np.trace(np.asarray(P))))))
-
-
 def _require_finite_phases(E: np.ndarray, t) -> None:
     """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
     Python floats, where an overflow gives inf and no warning."""

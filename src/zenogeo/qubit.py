@@ -111,12 +111,6 @@ def bloch_map(psi) -> BlochPoint:
     )
 
 
-def qubit_expectation(hq: QubitHamiltonian, psi) -> float:
-    """<psi|H|psi> evaluated as h0 u + h . (x, y, z) from the Bloch map."""
-    b = bloch_map(psi)
-    return hq.h0 * b.u + hq.hx * b.x + hq.hy * b.y + hq.hz * b.z
-
-
 def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     """Zeno time from the cross product: tau^{-2} = |h x r|^2 / |r|^2
     with r the Bloch vector.  The offset h0 drops out; parallel h and r
@@ -140,21 +134,14 @@ def zeno_rotation_rate(hq: QubitHamiltonian) -> float:
     return hq.h0 + hq.hz
 
 
-def zeno_flow_generator(hq: QubitHamiltonian):
-    """Right-hand side of the Bloch flow ODEs as a callable on (u,x,y,z):
+def zeno_flow_generator(hq: QubitHamiltonian) -> np.ndarray:
+    """The 4x4 matrix M of the Bloch flow d/dt (u,x,y,z) = M (u,x,y,z):
     udot = zdot = 0, xdot = -w y, ydot = +w x with w = h0 + hz."""
     w = zeno_rotation_rate(hq)
     M = np.zeros((4, 4), dtype=np.float64)
     M[1, 2] = -w
     M[2, 1] = w
-
-    def rhs(point) -> np.ndarray:
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (4,):
-            raise ValueError("flow generator expects a 4-vector (u, x, y, z)")
-        return M @ point
-
-    return rhs
+    return M
 
 
 def integrate_zeno_flow(

@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import (
     as_state,
     expm_antihermitian,
-    norm_sq,
     require_hermitian,
     require_projector,
 )
@@ -26,7 +25,8 @@ EXACT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ZenoSetup:
-    """Hamiltonian, measured subspace and a prepared initial state.
+    """Hamiltonian, measured subspace and, optionally, a prepared initial
+    state: convergence_scan needs none, measured_trajectory needs one.
 
     State preparation means P psi0 = psi0: the initial state lies inside
     the measured subspace.
@@ -34,24 +34,26 @@ class ZenoSetup:
 
     hamiltonian: np.ndarray
     projector: np.ndarray
-    initial_state: np.ndarray
+    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
         H = require_hermitian(self.hamiltonian)
         P = require_projector(self.projector)
+        if H.shape != P.shape:
+            raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
+        object.__setattr__(self, "hamiltonian", H)
+        object.__setattr__(self, "projector", P)
+        if self.initial_state is None:
+            return
         psi0 = as_state(self.initial_state)
-        if not (H.shape[0] == P.shape[0] == psi0.size):
-            raise ValueError(
-                f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}, state {psi0.size}"
-            )
+        if psi0.size != H.shape[0]:
+            raise ValueError(f"dimension mismatch: H {H.shape[0]}, state {psi0.size}")
         resid = float(np.linalg.norm(P @ psi0 - psi0))
         if resid > 1e-10:
             raise ValueError(
                 f"initial state is not prepared in the measured subspace "
                 f"(|P psi0 - psi0| = {resid:.3e})"
             )
-        object.__setattr__(self, "hamiltonian", H)
-        object.__setattr__(self, "projector", P)
         object.__setattr__(self, "initial_state", psi0)
 
     @property
@@ -75,33 +77,6 @@ class ScanPoint:
     n_measurements: int
     error_spectral: float
     error_frobenius: float
-
-
-def projector_from_basis(vectors, tol: float = 1e-8) -> np.ndarray:
-    """Build sum_k |v_k><v_k| from a nearly orthonormal family.
-
-    Small deviations (Gram matrix within tol of the identity) are repaired
-    by modified Gram-Schmidt; anything worse is rejected.
-    """
-    vs = [as_state(v) for v in vectors]
-    if not vs:
-        raise ValueError("need at least one basis vector")
-    n = vs[0].size
-    if any(v.size != n for v in vs):
-        raise ValueError("basis vectors have mismatched dimensions")
-    V = np.column_stack(vs)
-    gram = V.conj().T @ V
-    if np.max(np.abs(gram - np.eye(len(vs)))) > tol:
-        raise ValueError(
-            "vectors are not orthonormal within tolerance; supply an "
-            "orthonormal family or an explicit projector matrix"
-        )
-    for k in range(len(vs)):
-        for j in range(k):
-            vs[k] = vs[k] - np.vdot(vs[j], vs[k]) * vs[j]
-        vs[k] = vs[k] / math.sqrt(norm_sq(vs[k]))
-    V = np.column_stack(vs)
-    return V @ V.conj().T
 
 
 def measured_step(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
@@ -190,7 +165,10 @@ def measured_trajectory(
     Sample times are restricted to whole measurement periods, so samples
     must divide N; mixing measurements with partial free evolution would be
     a different protocol.  The recorded states carry their decayed norms.
+    Raises ValueError on a setup without an initial state.
     """
+    if setup.initial_state is None:
+        raise ValueError("measured_trajectory needs a setup with an initial state")
     N = int(N)
     samples = int(samples)
     if N < 1:

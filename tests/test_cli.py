@@ -171,6 +171,21 @@ class TestConverge:
         assert code == 2
         assert "idempotent" in err or "--projector" in err
 
+    def test_scans_every_projector_that_parses(self, capsys, tmp_path):
+        # |q><q| + 5e-11 |w><w| passes the --projector check; a state made up
+        # from it missed the 1e-10 preparation check by 4e-10.
+        n = 64
+        q = np.full(n, 1.0 / math.sqrt(n))
+        w = np.eye(n)[0] - q[0] * q
+        w /= np.linalg.norm(w)
+        path = tmp_path / "P.json"
+        jsonio.save_matrix(path, np.outer(q, q) + 5e-11 * np.outer(w, w))
+        code, out, err = run_cli(
+            ["converge", "--hamiltonian", "random:64", "--projector", str(path), "--n-max", "8"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 1
+
     @pytest.mark.parametrize(
         "args", [["sigma_x", "--projector", "e1"], ["random:6", "--projector", "random:2", "--seed", "7"]]
     )
@@ -346,20 +361,30 @@ def run_clean(argv, capsys):
     return code, out, err
 
 
+def charged_field(err):
+    """What the last stderr line blames: FIELD in "error: FIELD: message",
+    or in argparse's "error: argument FIELD: message"."""
+    line = err.strip().splitlines()[-1]
+    return line.split("error: ", 1)[-1].removeprefix("argument ").split(": ", 1)[0]
+
+
 def assert_clean_usage_error(argv, flag, capsys):
+    """run_clean with exit 2 and the error charged to flag; returns the field."""
     code, _, err = run_clean(argv, capsys)
     assert code == 2
-    assert flag in err
+    field = charged_field(err)
+    assert flag in field, err
+    return field
 
 
 def assert_clean_exit(argv, capsys):
-    """run_clean with exit 0 or 2: at 2 the last stderr line names a flag of
+    """run_clean with exit 0 or 2: at 2 the error is charged to a flag of
     argv, at 0 survival, flow and freeze print no nan."""
     code, out, err = run_clean(argv, capsys)
     assert code in (0, 2)
     if code == 2:
-        message = err.strip().splitlines()[-1]
-        assert any(a.split("=")[0] in message for a in argv if a.startswith("--")), message
+        field = charged_field(err)
+        assert any(a.split("=")[0] in field for a in argv if a.startswith("--")), err
     elif argv[0] in ("survival", "flow", "freeze"):
         assert "nan" not in out
     return code, out
@@ -429,6 +454,24 @@ class TestUsageErrors:
         code, _, err = run_clean(["zeno-time", "--hamiltonian", "random:1025", "--state", "e1"], capsys)
         assert code == 2
         assert err.strip() == "error: --hamiltonian: random dimension must be <= 1024, got 1025"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["flow", "--hz", "1", "--start", "equator", "--t", "1", "--samples", "100001"],
+             "--samples: must be in 1..100000, got 100001"),
+            (["survival", "--hamiltonian", "sigma_x", "--state", "e1", "--t-max", "1", "--samples", "100001"],
+             "--samples: must be <= 100000, got 100001"),
+            (["survival", "--hamiltonian", "random:1024", "--state", "e1", "--t-max", "1", "--samples", "10001"],
+             "--samples: dimension x samples = 1024 x 10001 exceeds 10240000"),
+            (["brackets", "--n", "16", "--trials", "3001"], "--trials: must be in 1..3000, got 3001"),
+        ],
+    )
+    def test_work_budget(self, argv, message, capsys):
+        # Just past each bound: a run that slipped through would take 1-3 s.
+        code, _, err = run_clean(argv, capsys)
+        assert code == 2
+        assert err.strip() == f"error: {message}"
 
     def test_state_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -515,10 +558,13 @@ class TestSpecFuzz:
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "2097152"], "--n-max"),
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max",
               "4611686018427387904"], "--n-max"),
+            # h0 + hz overflows; --t = 0 is not at fault.
+            (["flow", "--h0=1e308", "--hz=1e308", "--start", "equator", "--t=0", "--samples", "1"], "--h0"),
         ],
     )
     def test_bad_spec_names_its_flag(self, argv, flag, capsys):
-        assert_clean_usage_error(argv, flag, capsys)
+        field = assert_clean_usage_error(argv, flag, capsys)
+        assert "--t" not in field
 
     @given(argv=SPEC_ARGVS)
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -14,7 +14,6 @@ from zenogeo.qubit import (
     bloch_map,
     frozen_state_check,
     integrate_zeno_flow,
-    qubit_expectation,
     qubit_zeno_time,
     require_on_sphere,
     zeno_flow_generator,
@@ -57,23 +56,15 @@ class TestBlochMap:
         with pytest.raises(ValueError):
             bloch_map(np.array([1.0, 0.0, 0.0]))
 
-
-class TestQubitExpectation:
-    def test_z_field_north_pole(self):
-        assert abs(qubit_expectation(QubitHamiltonian(0, 0, 0, 1), E1) - 1.0) < 1e-14
-
-    def test_offset_only(self):
-        rng = np.random.default_rng(1)
-        psi = random_state(rng, 2)
-        assert abs(qubit_expectation(QubitHamiltonian(1, 0, 0, 0), psi) - 1.0) < 1e-12
-
-    def test_matches_matrix_form(self):
+    def test_coordinates_are_pauli_expectations(self):
+        # (u, x, y, z) = <psi|A|psi> for A = I, sigma_x, sigma_y, sigma_z,
+        # which pins the sign of y.
         rng = np.random.default_rng(2)
+        paulis = (np.eye(2), linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
         for _ in range(30):
-            hq = random_qubit_hamiltonian(rng)
             psi = random_state(rng, 2, normalized=False)
-            want = linalg.expectation_value(hq.matrix(), psi)
-            assert abs(qubit_expectation(hq, psi) - want) <= 1e-12 * max(1.0, abs(want))
+            want = [linalg.expectation_value(A, psi) for A in paulis]
+            assert np.max(np.abs(bloch_map(psi).as_array() - want)) <= 1e-12
 
 
 class TestQubitZenoTime:
@@ -132,16 +123,17 @@ class TestQubitZenoTime:
 
 class TestFlowGenerator:
     def test_vanishing_rate_gives_zero_field(self):
-        rhs = zeno_flow_generator(QubitHamiltonian(1.0, 0.7, -0.3, -1.0))
+        M = zeno_flow_generator(QubitHamiltonian(1.0, 0.7, -0.3, -1.0))
+        assert M.shape == (4, 4) and M.dtype == np.float64
         rng = np.random.default_rng(6)
         for _ in range(5):
             point = rng.standard_normal(4)
-            assert np.allclose(rhs(point), 0.0, atol=1e-15)
+            assert np.allclose(M @ point, 0.0, atol=1e-15)
 
     def test_equator_velocity(self):
         # Unit rate: the (x, y) pair turns counterclockwise at rate 1.
-        rhs = zeno_flow_generator(QubitHamiltonian(0.0, 0.0, 0.0, 1.0))
-        vel = rhs(np.array([1.0, 1.0, 0.0, 0.0]))
+        M = zeno_flow_generator(QubitHamiltonian(0.0, 0.0, 0.0, 1.0))
+        vel = M @ np.array([1.0, 1.0, 0.0, 0.0])
         assert np.allclose(vel, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
     def test_chain_rule_against_chart_generator(self):
@@ -163,8 +155,8 @@ class TestFlowGenerator:
                 ]
             )
             pushed = jacobian @ X
-            rhs = zeno_flow_generator(hq)
-            assert np.max(np.abs(pushed - rhs(bloch_map(psi).as_array()))) <= 1e-12
+            M = zeno_flow_generator(hq)
+            assert np.max(np.abs(pushed - M @ bloch_map(psi).as_array())) <= 1e-12
 
     def test_compressed_generator_is_quadratic_in_first_coordinates(self):
         # f_{PHP}(psi) = (h0 + hz)(q1^2 + p1^2).
@@ -261,14 +253,14 @@ class TestIntegrateFlow:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_matches_exponential_of_the_generator(self):
-        # The trajectory is exp(t_k M) start with M the matrix of
-        # zeno_flow_generator, computed by scaling and squaring.
+        # The trajectory is exp(t_k M) start with M = zeno_flow_generator(hq),
+        # computed by scaling and squaring.
         rng = np.random.default_rng(13)
         for _ in range(10):
             hq = random_qubit_hamiltonian(rng)
             start = bloch_map(random_state(rng, 2))
             t = float(rng.uniform(-20.0, 20.0))
-            M = np.column_stack([zeno_flow_generator(hq)(e) for e in np.eye(4)])
+            M = zeno_flow_generator(hq)
             traj = integrate_zeno_flow(hq, start, t, samples=8)
             for tk, b in zip(np.linspace(0.0, t, 9), traj):
                 want = np.real(scaled_taylor_expm(tk * M) @ start.as_array())

@@ -11,7 +11,6 @@ from zenogeo.zeno import (
     convergence_scan,
     fit_convergence_slope,
     measured_trajectory,
-    projector_from_basis,
     zeno_hamiltonian,
     zeno_limit_unitary,
     zeno_product,
@@ -50,6 +49,16 @@ class TestZenoSetup:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             ZenoSetup(np.eye(3), P1, E1)
+        with pytest.raises(ValueError, match="mismatch"):
+            ZenoSetup(SIGMA_X, P1, np.ones(3))
+
+    def test_state_is_optional(self):
+        s = ZenoSetup(SIGMA_X, P1)
+        assert s.initial_state is None and s.dim == 2
+
+    def test_trajectory_needs_a_state(self):
+        with pytest.raises(ValueError, match="initial state"):
+            measured_trajectory(ZenoSetup(SIGMA_X, P1), 1.0, 8, 4)
 
 
 class TestZenoProduct:
@@ -288,29 +297,3 @@ class TestQZESurvival:
         s = measured_trajectory(setup, 1.0, 4096, 1).survival_probs[-1]
         assert s >= 1.0 - 1.0 / 4096 * 1.1
 
-
-class TestProjectorFromBasis:
-    def test_exact_orthonormal_family(self):
-        v1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        v2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        P = projector_from_basis([v1, v2])
-        assert np.allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
-        linalg.require_projector(P)
-
-    def test_small_perturbation_repaired(self):
-        rng = np.random.default_rng(11)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        vs = [Q[:, 0] + 1e-9 * Q[:, 1], Q[:, 1]]
-        P = projector_from_basis(vs)
-        linalg.require_projector(P)
-        assert linalg.projector_rank(P) == 2
-
-    def test_badly_non_orthonormal_rejected(self):
-        v1 = np.array([1.0, 0.0], dtype=complex)
-        v2 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        with pytest.raises(ValueError, match="orthonormal"):
-            projector_from_basis([v1, v2])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            projector_from_basis([])
