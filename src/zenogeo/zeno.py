@@ -8,11 +8,12 @@ to that limit.  Bounded H and finite-dimensional P throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    _require_finite_phases,
     as_state,
     expm_antihermitian,
     require_hermitian,
@@ -30,11 +31,23 @@ class ZenoSetup:
 
     State preparation means P psi0 = psi0: the initial state lies inside
     the measured subspace.
+
+    The measured dynamics lives on range P, of rank r, so the setup
+    decomposes its inputs once for every product taken from it:
+    ``basis`` is Q, an n x r orthonormal basis of range P (the eigenvectors
+    of P with eigenvalue > 1/2), ``energies`` is E and ``overlaps`` is
+    W = Q^dagger V, with H = V diag(E) V^dagger.  One measured step is then
+    the r x r matrix S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger.
+    P is idempotent only to PROJECTOR_TOL, so Q spans the nearest
+    orthogonal projector QQ^dagger, with |QQ^dagger - P|_F about |P^2 - P|_F.
     """
 
     hamiltonian: np.ndarray
     projector: np.ndarray
     initial_state: np.ndarray | None = None
+    basis: np.ndarray = field(init=False, compare=False, repr=False)
+    energies: np.ndarray = field(init=False, compare=False, repr=False)
+    overlaps: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         H = require_hermitian(self.hamiltonian)
@@ -43,6 +56,12 @@ class ZenoSetup:
             raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "projector", P)
+        p, U = np.linalg.eigh(P)
+        Q = U[:, p > 0.5]
+        E, V = np.linalg.eigh(H)
+        object.__setattr__(self, "basis", Q)
+        object.__setattr__(self, "energies", E)
+        object.__setattr__(self, "overlaps", Q.conj().T @ V)
         if self.initial_state is None:
             return
         psi0 = as_state(self.initial_state)
@@ -79,22 +98,32 @@ class ScanPoint:
     error_frobenius: float
 
 
-def measured_step(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
-    """One measurement period P exp(-iHt/N) P."""
-    P = setup.projector
-    return P @ expm_antihermitian(setup.hamiltonian, t / N) @ P
+def _step_power(setup: ZenoSetup, t: float, N: int, k: int) -> np.ndarray:
+    """S_N^k for the r x r measured step S_N = Q^dagger exp(-iHt/N) Q.
+
+    Raises ValueError, as expm_antihermitian does, unless t is finite and
+    every phase E t/N is finite.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("evolution time must be finite")
+    tau = t / N
+    E, W = setup.energies, setup.overlaps
+    _require_finite_phases(E, tau)
+    return np.linalg.matrix_power((W * np.exp(-1j * E * tau)) @ W.conj().T, k)
 
 
 def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
     """V_N(t) = (P exp(-iHt/N) P)^N, the evolution with N measurements.
 
-    Built by binary powering of the step, i.e. repeated squaring for powers
-    of two.  The result is a contraction.
+    Computed as Q S_N^N Q^dagger in the measured subspace (see ZenoSetup).
+    The result is a contraction.
     """
     N = int(N)
     if N < 1:
         raise ValueError("measurement count N must be >= 1")
-    return np.linalg.matrix_power(measured_step(setup, t, N), N)
+    Q = setup.basis
+    return Q @ _step_power(setup, t, N, N) @ Q.conj().T
 
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
@@ -121,17 +150,21 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     """Distance of V_N(t) from the limit evolution for each N.
 
     Reports the operator (spectral) norm, the topology in which the limit
-    statement is checked, plus the Frobenius norm for debugging.
+    statement is checked, plus the Frobenius norm for debugging.  Both are
+    taken in the measured subspace, on S_N^N - exp(-i Q^dagger H Q t): the
+    isometry Q leaves either norm of V_N - exp(-i PHP t) P unchanged.
     """
     Ns = [int(N) for N in N_values]
     if not Ns:
         raise ValueError("N_values must be non-empty")
     if any(N < 1 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending positive integers")
-    UZ = zeno_limit_unitary(setup.hamiltonian, setup.projector, t)
+    Q = setup.basis
+    A = Q.conj().T @ setup.hamiltonian @ Q
+    UZ = expm_antihermitian(0.5 * (A + A.conj().T), t)
     points = []
     for N in Ns:
-        diff = zeno_product(setup, t, N) - UZ
+        diff = _step_power(setup, t, N, N) - UZ
         points.append(
             ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff)))
         )
@@ -180,11 +213,14 @@ def measured_trajectory(
             f"samples = {samples} is not commensurate with N = {N}: choose "
             f"samples dividing N so every sample falls on a measurement"
         )
-    W = np.linalg.matrix_power(measured_step(setup, t, N), N // samples)
+    S = _step_power(setup, t, N, N // samples)
+    Q = setup.basis
+    y = Q.conj().T @ setup.initial_state
     states = np.empty((samples + 1, setup.dim), dtype=np.complex128)
     states[0] = setup.initial_state
     for k in range(samples):
-        states[k + 1] = W @ states[k]
+        y = S @ y
+        states[k + 1] = Q @ y
     times = np.linspace(0.0, t, samples + 1)
     probs = np.sum(np.abs(states) ** 2, axis=1)
     return ZenoTrajectory(times, states, probs, N)

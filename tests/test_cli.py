@@ -349,6 +349,10 @@ NUMERIC_FLAGS = [
     ("converge", "--t"),
     *[(cmd, flag) for cmd in ("flow", "freeze") for flag in ("--t", "--h0", "--hx", "--hy", "--hz")],
 ]
+NUMERIC_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e150, -1e200,
+    1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
 
 
 def run_clean(argv, capsys):
@@ -423,11 +427,25 @@ class TestFiniteNumbers:
             (["converge", "--hamiltonian", "qubit:0,1,0,2", "--projector", "e1", "--t", "1e308",
               "--n-max", "8"], "--t"),
             (["freeze", "--hz=2", "--t=1e308"], "--t"),
+            # The limit PHP = 0 has no phase; the first step has |E| t / 8 = 2e308.
+            (["converge", "--hamiltonian", "qubit:0,16,0,0", "--projector", "e1", "--t", "1e308",
+              "--n-max", "8"], "--t"),
         ],
     )
     def test_phase_overflow_names_the_time_flag(self, argv, flag, capsys):
         # |E| t = 2e308 overflows although each number is finite.
         assert_clean_usage_error(argv, flag, capsys)
+
+    @given(
+        case=st.sampled_from(NUMERIC_FLAGS),
+        value=st.floats() | st.sampled_from(NUMERIC_EDGES),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_number_exits_cleanly(self, case, value, capsys):
+        # Finite, huge, subnormal, signed zero, nan and inf values on the
+        # small base argv of each command.
+        command, flag = case
+        assert_clean_exit(NUMERIC_BASE[command] + [f"{flag}={value!r}"], capsys)
 
     @pytest.mark.parametrize(
         "argv", ["--hz=1e300 --start equator --t=1 --samples 2", "--hz 1 --start equator --t 1e6 --samples 200"]

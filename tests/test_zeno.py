@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_rank_projector, random_state
-from zenogeo import linalg, zeno
+from zenogeo import linalg
 from zenogeo.linalg import SIGMA_X, SIGMA_Z
 from zenogeo.zeno import (
     ZenoSetup,
@@ -99,10 +99,13 @@ class TestZenoProduct:
             assert np.linalg.norm(V, 2) <= 1.0 + 1e-10
 
     def test_matches_left_to_right_product(self):
+        # The dense step, built here so the oracle shares nothing with the
+        # subspace path of zeno_product.
         rng = np.random.default_rng(2)
         setup = random_setup(rng, 4, 2)
+        P = setup.projector
         for N in (1, 2, 5, 13):
-            step = zeno.measured_step(setup, 1.3, N)
+            step = P @ linalg.expm_antihermitian(setup.hamiltonian, 1.3 / N) @ P
             chain = step
             for _ in range(N - 1):
                 chain = chain @ step
@@ -208,6 +211,42 @@ class TestConvergenceScan:
             errs = [p.error_spectral for p in points]
             for a, b in zip(errs, errs[1:]):
                 assert b <= 1.2 * a + 1e-12
+
+    def test_no_dense_decomposition_per_rung(self, monkeypatch):
+        # ZenoSetup decomposes H and P once; a 14-rung scan decomposes
+        # nothing of size n x n.
+        rng = np.random.default_rng(11)
+        setup = random_setup(rng, 12, 3)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        points = convergence_scan(setup, 1.0, [2 ** k for k in range(3, 17)])
+        assert len(points) == 14
+        assert sizes.count(setup.dim) == 0
+
+    def test_near_projector_matches_the_dense_formula(self):
+        # P = |q><q| + 5e-11 |w><w| is idempotent only to 5e-11; the scan
+        # runs on the span of q and must agree with the dense product
+        # (P exp(-iHt/N) P)^N - exp(-i PHP t) P built from P itself.
+        n = 64
+        q = np.full(n, 1.0 / math.sqrt(n))
+        w = np.eye(n)[0] - q[0] * q
+        w /= np.linalg.norm(w)
+        P = np.outer(q, q) + 5e-11 * np.outer(w, w)
+        H = random_hermitian(np.random.default_rng(12), n)
+        Ns = [2 ** k for k in range(13)]
+        UZ = zeno_limit_unitary(H, P, 1.0)
+        for p in convergence_scan(ZenoSetup(H, P), 1.0, Ns):
+            N = p.n_measurements
+            step = P @ linalg.expm_antihermitian(H, 1.0 / N) @ P
+            diff = np.linalg.matrix_power(step, N) - UZ
+            assert abs(p.error_spectral - np.linalg.norm(diff, 2)) <= 1e-10
+            assert abs(p.error_frobenius - np.linalg.norm(diff)) <= 1e-10
 
     def test_rejects_bad_ladders(self):
         setup = sigma_x_setup()
