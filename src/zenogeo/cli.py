@@ -294,7 +294,12 @@ def handle_converge(args) -> int:
         ladder.append(ladder[-1] * 2)
     with _charged_to("--t"):
         points = zeno.convergence_scan(setup, args.t, ladder)
-    slope = zeno.fit_convergence_slope(points)
+    # N |V_N - U_Z| tends to c_inf = (t^2 / 2) |K o Phi|_2, at most
+    # t^2 leakage^2 / 2 since |Phi_jk| <= 1.  At or below EXACT_TOL the
+    # limit is exact and every error in the scan is roundoff.
+    tl = abs(args.t) * setup.leakage
+    exact = tl * tl / 2 <= zeno.EXACT_TOL
+    slope = None if exact else zeno.fit_convergence_slope(points)
     slope_label = "exact" if slope is None else _fmt(slope)
     rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
     _emit_table(

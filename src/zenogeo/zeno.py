@@ -24,7 +24,7 @@ from .linalg import (
 EXACT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZenoSetup:
     """Hamiltonian, measured subspace and, optionally, a prepared initial
     state: convergence_scan needs none, measured_trajectory needs one.
@@ -34,20 +34,27 @@ class ZenoSetup:
 
     The measured dynamics lives on range P, of rank r, so the setup
     decomposes its inputs once for every product taken from it:
-    ``basis`` is Q, an n x r orthonormal basis of range P (the eigenvectors
-    of P with eigenvalue > 1/2), ``energies`` is E and ``overlaps`` is
-    W = Q^dagger V, with H = V diag(E) V^dagger.  One measured step is then
-    the r x r matrix S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger.
+    ``basis`` is Q, an n x r orthonormal basis of range P (see
+    _range_basis), ``energies`` is E and ``overlaps`` is W = Q^dagger V,
+    with H = V diag(E) V^dagger, the one n x n eigendecomposition.  One
+    measured step is then the r x r matrix
+    S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger.
     P is idempotent only to PROJECTOR_TOL, so Q spans the nearest
     orthogonal projector QQ^dagger, with |QQ^dagger - P|_F about |P^2 - P|_F.
+    ``leakage`` is |HQ - Q Q^dagger H Q|_F = |(I - P) H P|_F, how far H
+    moves range P out of itself: for a rank-one P = |psi><psi| its square
+    is the variance of H in psi, 1/tau_Z^2.
+
+    Setups compare and hash by identity.
     """
 
     hamiltonian: np.ndarray
     projector: np.ndarray
     initial_state: np.ndarray | None = None
-    basis: np.ndarray = field(init=False, compare=False, repr=False)
-    energies: np.ndarray = field(init=False, compare=False, repr=False)
-    overlaps: np.ndarray = field(init=False, compare=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
+    energies: np.ndarray = field(init=False, repr=False)
+    overlaps: np.ndarray = field(init=False, repr=False)
+    leakage: float = field(init=False, repr=False)
 
     def __post_init__(self):
         H = require_hermitian(self.hamiltonian)
@@ -56,12 +63,13 @@ class ZenoSetup:
             raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "projector", P)
-        p, U = np.linalg.eigh(P)
-        Q = U[:, p > 0.5]
+        Q = _range_basis(P)
         E, V = np.linalg.eigh(H)
+        HQ = H @ Q
         object.__setattr__(self, "basis", Q)
         object.__setattr__(self, "energies", E)
         object.__setattr__(self, "overlaps", Q.conj().T @ V)
+        object.__setattr__(self, "leakage", float(np.linalg.norm(HQ - Q @ (Q.conj().T @ HQ))))
         if self.initial_state is None:
             return
         psi0 = as_state(self.initial_state)
@@ -78,6 +86,28 @@ class ZenoSetup:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+
+def _range_basis(P: np.ndarray) -> np.ndarray:
+    """Orthonormal n x r basis of range P for a validated projector P.
+
+    r = trace P steps of diagonal-pivoted Cholesky give P ~ L L^dagger with
+    L of size n x r; every pivot is >= 1/n, since the residual of rank
+    r - k has trace r - k.  One subspace step P L then damps the part of P
+    that is not idempotent, so Q = qr(P L) spans the nearest orthogonal
+    projector.  The only rank-n orthogonal projector is I.
+    """
+    n = P.shape[0]
+    r = round(float(np.real(np.trace(P))))
+    if r == n:
+        return np.eye(n, dtype=np.complex128)
+    L = np.zeros((n, r), dtype=np.complex128)
+    d = np.real(P.diagonal()).copy()
+    for k in range(r):
+        j = int(np.argmax(d))
+        L[:, k] = (P[:, j] - L[:, :k] @ L[j, :k].conj()) / math.sqrt(d[j])
+        d -= np.abs(L[:, k]) ** 2
+    return np.linalg.qr(P @ L)[0]
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,20 @@ class TestConverge:
         (slope_line,) = [l for l in trailer_lines(out) if "slope" in l]
         assert slope_line.split()[-1] == "exact"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["random:6", "--projector", "identity", "--n-max", "65536"],
+            ["qubit:0.3,0,0,2.7", "--projector", "e1", "--t", "5", "--n-max", "1048576"],
+        ],
+    )
+    def test_invariant_subspace_is_exact_despite_roundoff_growth(self, args, capsys):
+        # [H, P] = 0: V_N equals the limit, and the powered roundoff that
+        # grows with N is no convergence slope.
+        code, out, _ = run_cli(["converge", "--hamiltonian", *args], capsys)
+        assert code == 0
+        assert trailer_lines(out) == ["# slope exact"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("hamiltonian,label", [("sigma_x", "nan"), ("sigma_z", "exact")])
     def test_single_rung_slope_label(self, hamiltonian, label, fmt, capsys):

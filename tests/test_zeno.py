@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_rank_projector, random_state
 from zenogeo import linalg
 from zenogeo.linalg import SIGMA_X, SIGMA_Z
 from zenogeo.zeno import (
     ZenoSetup,
+    _range_basis,
     convergence_scan,
     fit_convergence_slope,
     measured_trajectory,
@@ -22,6 +25,20 @@ P1 = np.diag([1.0, 0.0]).astype(complex)
 
 def sigma_x_setup():
     return ZenoSetup(SIGMA_X, P1, E1)
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Row counts of the matrices passed to numpy.linalg.eigh from here on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return sizes
 
 
 def random_setup(rng, n, rank):
@@ -59,6 +76,78 @@ class TestZenoSetup:
     def test_trajectory_needs_a_state(self):
         with pytest.raises(ValueError, match="initial state"):
             measured_trajectory(ZenoSetup(SIGMA_X, P1), 1.0, 8, 4)
+
+    def test_compares_and_hashes_by_identity(self):
+        H, P = np.diag([1.0, 2.0]), np.diag([1.0, 0.0])
+        s = ZenoSetup(H, P)
+        assert s == s
+        assert ZenoSetup(H, P) != ZenoSetup(H, P)
+        assert {s: 1}[s] == 1
+
+    def test_one_dense_decomposition(self, eigh_sizes):
+        # eigh of H only: the basis of range P comes from r Cholesky steps.
+        rng = np.random.default_rng(13)
+        ZenoSetup(random_hermitian(rng, 12), random_rank_projector(rng, 12, 3))
+        assert eigh_sizes.count(12) == 1
+
+    def test_rank_one_leakage_is_the_variance(self):
+        # |(I - P) H psi|^2 = <H^2> - <H>^2 = 1/tau_Z^2 for P = |psi><psi|.
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            H, psi = random_hermitian(rng, n), random_state(rng, n)
+            setup = ZenoSetup(H, np.outer(psi, psi.conj()))
+            var = linalg.variance(H, psi)
+            assert abs(setup.leakage**2 - var) <= 1e-12 * var
+
+    def test_invariant_subspace_does_not_leak(self):
+        rng = np.random.default_rng(15)
+        H = random_hermitian(rng, 5)
+        assert ZenoSetup(H, np.eye(5)).leakage == 0.0
+        assert ZenoSetup(SIGMA_Z, P1).leakage == 0.0
+
+
+def eigh_range_projector(P):
+    """Oracle: the spectral projector of P for eigenvalues above 1/2."""
+    p, U = np.linalg.eigh(P)
+    U = U[:, p > 0.5]
+    return U @ U.conj().T
+
+
+class TestRangeBasis:
+    def test_parallel_pivot_columns(self):
+        # The two largest diagonals, P_11 = P_22 = 1/2, have parallel
+        # columns: after the first pivot the second must be skipped.
+        n = 100
+        rng = np.random.default_rng(16)
+        a = np.zeros(n, dtype=complex)
+        a[:2] = 1.0 / math.sqrt(2)
+        q2 = np.zeros(n, dtype=complex)
+        q2[2:] = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
+        q2 /= np.linalg.norm(q2)
+        P = np.outer(a, a.conj()) + np.outer(q2, q2.conj())
+        Q = _range_basis(linalg.require_projector(P))
+        assert Q.shape == (n, 2)
+        assert np.linalg.norm(Q @ Q.conj().T - P) <= 1e-13
+
+    @given(
+        n=st.integers(1, 16),
+        data=st.data(),
+        eps=st.floats(0.0, 5e-11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spans_the_nearest_orthogonal_projector(self, n, data, eps, seed):
+        r = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        w = random_state(rng, n)
+        P = linalg.require_projector(
+            random_rank_projector(rng, n, r) + eps * np.outer(w, w.conj())
+        )
+        Q = _range_basis(P)
+        assert Q.shape == (n, r)
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(r))) <= 1e-12
+        assert np.linalg.norm(Q @ Q.conj().T - eigh_range_projector(P)) <= 1e-13
 
 
 class TestZenoProduct:
@@ -212,22 +301,14 @@ class TestConvergenceScan:
             for a, b in zip(errs, errs[1:]):
                 assert b <= 1.2 * a + 1e-12
 
-    def test_no_dense_decomposition_per_rung(self, monkeypatch):
-        # ZenoSetup decomposes H and P once; a 14-rung scan decomposes
-        # nothing of size n x n.
-        rng = np.random.default_rng(11)
-        setup = random_setup(rng, 12, 3)
-        sizes = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_no_dense_decomposition_per_rung(self, eigh_sizes):
+        # ZenoSetup decomposes H once and takes range P from Cholesky
+        # steps; a 14-rung scan decomposes nothing of size n x n.
+        setup = random_setup(np.random.default_rng(11), 12, 3)
+        eigh_sizes.clear()
         points = convergence_scan(setup, 1.0, [2 ** k for k in range(3, 17)])
         assert len(points) == 14
-        assert sizes.count(setup.dim) == 0
+        assert eigh_sizes.count(setup.dim) == 0
 
     def test_near_projector_matches_the_dense_formula(self):
         # P = |q><q| + 5e-11 |w><w| is idempotent only to 5e-11; the scan
