@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -356,11 +357,13 @@ def handle_brackets(args) -> int:
         B = _random_hermitian(rng, n)
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi /= math.sqrt(linalg.norm_sq(psi))
-        fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
+        # One differential per function serves both brackets.
+        dA = geometry.differential(geometry.QuadraticFunction(A), psi)
+        dB = geometry.differential(geometry.QuadraticFunction(B), psi)
         comm = 1j * (A @ B - B @ A)
         anti = 0.5 * (A @ B + B @ A)
-        dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
-        dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
+        dp = abs(geometry.symplectic_Omega(dA, dB) - linalg.expectation_value(comm, psi))
+        dj = abs(geometry.metric_G(dA, dB) - linalg.expectation_value(anti, psi))
         max_poisson = max(max_poisson, dp)
         max_jordan = max(max_jordan, dj)
         for dev, kind in ((dp, "poisson"), (dj, "jordan")):
@@ -413,6 +416,10 @@ def handle_freeze(args) -> int:
 # parser
 
 
+# Built on the first call and shared after: parse_args leaves the parser
+# unchanged and returns a fresh Namespace, so every call of main in one
+# process parses with this one parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenogeo",

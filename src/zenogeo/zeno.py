@@ -38,7 +38,9 @@ class ZenoSetup:
     _range_basis), ``energies`` is E and ``overlaps`` is W = Q^dagger V,
     with H = V diag(E) V^dagger, the one n x n eigendecomposition.  One
     measured step is then the r x r matrix
-    S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger.
+    S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger, and
+    ``compression`` is the r x r matrix A = Q^dagger H Q: S_N^N tends to
+    exp(-iAt).
     P is idempotent only to PROJECTOR_TOL, so Q spans the nearest
     orthogonal projector QQ^dagger, with |QQ^dagger - P|_F about |P^2 - P|_F.
     ``leakage`` is |HQ - Q Q^dagger H Q|_F = |(I - P) H P|_F, how far H
@@ -54,6 +56,7 @@ class ZenoSetup:
     basis: np.ndarray = field(init=False, repr=False)
     energies: np.ndarray = field(init=False, repr=False)
     overlaps: np.ndarray = field(init=False, repr=False)
+    compression: np.ndarray = field(init=False, repr=False)
     leakage: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -66,10 +69,12 @@ class ZenoSetup:
         Q = _range_basis(P)
         E, V = np.linalg.eigh(H)
         HQ = H @ Q
+        A = Q.conj().T @ HQ
         object.__setattr__(self, "basis", Q)
         object.__setattr__(self, "energies", E)
         object.__setattr__(self, "overlaps", Q.conj().T @ V)
-        object.__setattr__(self, "leakage", float(np.linalg.norm(HQ - Q @ (Q.conj().T @ HQ))))
+        object.__setattr__(self, "compression", A)
+        object.__setattr__(self, "leakage", float(np.linalg.norm(HQ - Q @ A)))
         if self.initial_state is None:
             return
         psi0 = as_state(self.initial_state)
@@ -158,8 +163,11 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
     """Compression PHP of the Hamiltonian to the measured subspace."""
-    H = require_hermitian(H)
-    P = require_projector(P)
+    return _compress(require_hermitian(H), require_projector(P))
+
+
+def _compress(H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """PHP for a validated Hamiltonian H and projector P."""
     if H.shape != P.shape:
         raise ValueError("H and P have mismatched dimensions")
     HZ = P @ H @ P
@@ -172,8 +180,8 @@ def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
 
     Unitary on the measured subspace, zero on its complement.
     """
-    HZ = zeno_hamiltonian(H, P)
-    return expm_antihermitian(HZ, t) @ require_projector(P)
+    H, P = require_hermitian(H), require_projector(P)
+    return expm_antihermitian(_compress(H, P), t) @ P
 
 
 def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
@@ -189,8 +197,7 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
         raise ValueError("N_values must be non-empty")
     if any(N < 1 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending positive integers")
-    Q = setup.basis
-    A = Q.conj().T @ setup.hamiltonian @ Q
+    A = setup.compression
     UZ = expm_antihermitian(0.5 * (A + A.conj().T), t)
     points = []
     for N in Ns:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenogeo import cli, jsonio
+from zenogeo import cli, geometry, jsonio, linalg
 from zenogeo.linalg import SIGMA_X
 
 
@@ -329,6 +330,31 @@ class TestBrackets:
         payload = json.loads(out)
         assert payload["pass"] is True
 
+    def test_report_matches_the_per_bracket_functions(self, capsys):
+        n, trials, seed = 5, 60, 13
+        rng = np.random.default_rng(seed)
+        max_poisson = max_jordan = 0.0
+        for _ in range(trials):
+            A = cli._random_hermitian(rng, n)
+            B = cli._random_hermitian(rng, n)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= math.sqrt(linalg.norm_sq(psi))
+            fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
+            comm = 1j * (A @ B - B @ A)
+            anti = 0.5 * (A @ B + B @ A)
+            dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
+            dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
+            max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
+        code, out, _ = run_cli(
+            ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1:3] == [
+            f"max poisson deviation {cli._fmt(max_poisson)}",
+            f"max jordan deviation {cli._fmt(max_jordan)}",
+        ]
+
 
 class TestFreeze:
     def test_unit_rate_half_period(self, capsys):
@@ -350,6 +376,25 @@ class TestFreeze:
         assert code == 0
         _, rows = parse_csv(out)
         assert abs(rows[0][2] - 1.0) <= 1e-12
+
+
+class TestParserReuse:
+    def test_one_parser_tree_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["freeze", "--t", "1"], ["brackets", "--trials", "2"], ["freeze", "--t", "2"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        # One root parser and six sub-parsers; a tree per call would be 21.
+        assert len(built) == 7
+        assert cli.build_parser() is cli.build_parser()
 
 
 NUMERIC_BASE = {

@@ -97,14 +97,54 @@ def test_cases_are_the_readme_examples():
     assert examples == {argv for argv, _ in CASES.values()}
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_matches_golden_output(case, fmt):
-    argv, want_code = CASES[case]
-    code, out = run(argv.split() + ["--format", fmt])
-    assert code == want_code
+def _check_golden(case: str, fmt: str, code: int, out: str) -> None:
+    assert code == CASES[case][1]
     want = (GOLDEN / f"{case}.{fmt}").read_text()
     if fmt == "json":
         _compare_json(json.loads(out), json.loads(want), "", case)
     else:
         _compare_text(out, want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_golden_output(case, fmt):
+    argv, _ = CASES[case]
+    code, out = run(argv.split() + ["--format", fmt])
+    _check_golden(case, fmt, code, out)
+
+
+def test_one_parser_serves_any_sequence_of_calls(tmp_path):
+    """cli.main parses every call in a process with one parser, so no call
+    may leave a flag, a default or an output path behind for the next.
+
+    Every example runs forward and then in reverse order, alternately with
+    --format json and with the default format, each after an interlude:
+    argv rejected by argparse or by a handler, --help, --out PATH, and a
+    --seed 5 call followed by one that must use the default seed 0.
+    """
+    path = tmp_path / "freeze.json"
+    interludes = [
+        [(["freeze", "--t", "inf"], 2, "")],
+        [(["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "7"], 2, "")],
+        [(["freeze", "--help"], 0, "usage: zenogeo freeze")],
+        [(["freeze", "--hz", "1", "--t", "2", "--format", "json", "--out", str(path)], 0, "")],
+        [
+            (["brackets", "--trials", "3", "--seed", "5"], 0, "bracket identities: n=2 trials=3 seed=5"),
+            (["brackets", "--trials", "3"], 0, "bracket identities: n=2 trials=3 seed=0"),
+        ],
+    ]
+    cases = sorted(CASES)
+    for k, case in enumerate(cases + cases[::-1]):
+        for argv, want_code, want_start in interludes[k % len(interludes)]:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code, out = run(argv)
+            assert code == want_code, argv
+            assert out.startswith(want_start) and bool(out) == bool(want_start), argv
+        if path.exists():
+            assert json.loads(path.read_text())["rows"][0]["t"] == 2.0
+            path.unlink()
+        fmt = "json" if k % 2 == 0 else "csv"
+        flags = ["--format", "json"] if fmt == "json" else []
+        code, out = run(CASES[case][0].split() + flags)
+        _check_golden(case, fmt, code, out)

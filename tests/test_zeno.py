@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_rank_projector, random_state
-from zenogeo import linalg
+from zenogeo import linalg, zeno
 from zenogeo.linalg import SIGMA_X, SIGMA_Z
 from zenogeo.zeno import (
     ZenoSetup,
@@ -89,6 +89,16 @@ class TestZenoSetup:
         rng = np.random.default_rng(13)
         ZenoSetup(random_hermitian(rng, 12), random_rank_projector(rng, 12, 3))
         assert eigh_sizes.count(12) == 1
+
+    def test_compression_is_h_on_range_p(self):
+        rng = np.random.default_rng(15)
+        H = random_hermitian(rng, 9)
+        setup = ZenoSetup(H, random_rank_projector(rng, 9, 4))
+        Q = setup.basis
+        assert setup.compression.shape == (4, 4)
+        assert np.max(np.abs(setup.compression - Q.conj().T @ H @ Q)) <= 1e-13
+        # Q = I at identity, so the compression is H to the last bit.
+        assert np.array_equal(ZenoSetup(H, np.eye(9)).compression, H)
 
     def test_rank_one_leakage_is_the_variance(self):
         # |(I - P) H psi|^2 = <H^2> - <H>^2 = 1/tau_Z^2 for P = |psi><psi|.
@@ -246,6 +256,18 @@ class TestZenoLimitUnitary:
         H = random_hermitian(rng, 5)
         P = random_rank_projector(rng, 5, 2)
         assert np.max(np.abs(zeno_limit_unitary(H, P, 0.0) - P)) <= 1e-12
+
+    def test_checks_the_projector_once(self, monkeypatch):
+        calls = []
+        require_projector = zeno.require_projector
+
+        def counting(P, *args, **kwargs):
+            calls.append(P)
+            return require_projector(P, *args, **kwargs)
+
+        monkeypatch.setattr(zeno, "require_projector", counting)
+        zeno_limit_unitary(SIGMA_X, P1, 0.7)
+        assert len(calls) == 1
 
     def test_unitary_on_subspace(self):
         rng = np.random.default_rng(5)
