@@ -141,7 +141,7 @@ def _basis_index(spec: str, dim: int) -> int | None:
     return k - 1
 
 
-def _random_count(spec: str, what: str, most: int | None = None) -> int | None:
+def _random_count(spec: str, what: str, most: int) -> int | None:
     """n for a random:<n> spec with n in 1..most; None for any other spec."""
     if not spec.startswith("random:"):
         return None
@@ -151,7 +151,7 @@ def _random_count(spec: str, what: str, most: int | None = None) -> int | None:
         raise ValueError(f"random preset needs a {what}, got {spec!r}") from None
     if n < 1:
         raise ValueError(f"random {what} must be >= 1, got {n}")
-    if most is not None and n > most:
+    if n > most:
         raise ValueError(f"random {what} must be <= {most}, got {n}")
     return n
 
@@ -220,7 +220,9 @@ def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarra
         return linalg.normalize(psi)
 
 
-def parse_projector_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+def parse_projector_spec(spec: str, H: np.ndarray, rng: np.random.Generator) -> zeno.ZenoSetup:
+    """ZenoSetup of the checked H and the projector of spec, checked there."""
+    dim = H.shape[0]
     with _charged_to("--projector"):
         k = _basis_index(spec, dim)
         r = _random_count(spec, "rank", most=dim)
@@ -233,7 +235,7 @@ def parse_projector_spec(spec: str, dim: int, rng: np.random.Generator) -> np.nd
             P = _random_rank_projector(rng, dim, r)
         else:
             P = _load(spec, jsonio.load_matrix, "projector", dim)
-        return linalg.require_projector(P)
+        return zeno.ZenoSetup(H, P)
 
 
 def parse_bloch_start(spec: str) -> qubit.BlochPoint:
@@ -252,8 +254,10 @@ def handle_survival(args) -> int:
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    if args.t_max <= 0 or args.samples < 2:
-        raise CliInputError("--t-max/--samples", "need t-max > 0 and samples >= 2")
+    if args.t_max <= 0:
+        raise CliInputError("--t-max", f"must be > 0, got {args.t_max!r}")
+    if args.samples < 2:
+        raise CliInputError("--samples", f"must be >= 2, got {args.samples}")
     if args.samples > SAMPLES_MAX:
         raise CliInputError("--samples", f"must be <= {SAMPLES_MAX}, got {args.samples}")
     if H.shape[0] * args.samples > SURVIVAL_WORK_MAX:
@@ -283,13 +287,12 @@ def handle_zeno_time(args) -> int:
 
 
 def handle_converge(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    H = parse_hamiltonian_spec(args.hamiltonian, rng)
-    P = parse_projector_spec(args.projector, H.shape[0], rng)
     n_max = args.n_max
     if not 8 <= n_max <= N_MAX or n_max & (n_max - 1) != 0:
         raise CliInputError("--n-max", f"must be a power of two in 8..{N_MAX}, got {n_max}")
-    setup = zeno.ZenoSetup(H, P)
+    rng = np.random.default_rng(args.seed)
+    H = parse_hamiltonian_spec(args.hamiltonian, rng)
+    setup = parse_projector_spec(args.projector, H, rng)
     ladder = [8]
     while ladder[-1] < n_max:
         ladder.append(ladder[-1] * 2)

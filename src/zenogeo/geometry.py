@@ -169,14 +169,13 @@ def projective_metric_length(H, psi) -> float:
     The value equals the variance of H in the ray of psi (the inverse
     squared Zeno time) and is invariant under rescaling of psi.
     """
-    H = require_hermitian(H)
+    f_H = QuadraticFunction(H)
     psi = as_state(psi)
     n2 = norm_sq(psi)
     if n2 <= NORM_SQ_FLOOR:
         raise ValueError("projective length undefined near the zero vector")
-    f_H = QuadraticFunction(H)
     d_fH = differential(f_H, psi)
-    d_norm = differential(QuadraticFunction(np.eye(psi.size)), psi)
+    d_norm = 2.0 * to_chart(psi)
     ftilde = f_H(psi) / n2
     d_ftilde = (d_fH - ftilde * d_norm) / n2
     return n2 * metric_G(d_ftilde, d_ftilde)

@@ -28,13 +28,14 @@ def matrix_to_dict(A) -> dict:
 
 def _parts(payload: dict) -> tuple[int, np.ndarray, np.ndarray]:
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         re = np.asarray(payload["re"], dtype=np.float64)
         im = np.asarray(payload["im"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"payload missing or malformed field: {exc}") from exc
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    # A JSON integer: 2.7, 1e400 and true are not dimensions.
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError("re and im must be flat lists of equal length")
     return dim, re, im

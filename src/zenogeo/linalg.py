@@ -55,9 +55,9 @@ def normalize(psi) -> np.ndarray:
     return psi / math.sqrt(n2)
 
 
-def require_normalized(psi, tol: float = NORMALIZED_TOL) -> np.ndarray:
+def require_normalized(psi) -> np.ndarray:
     psi = as_state(psi)
-    if abs(norm_sq(psi) - 1.0) > tol:
+    if abs(norm_sq(psi) - 1.0) > NORMALIZED_TOL:
         raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq(psi)!r}")
     return psi
 
@@ -81,24 +81,32 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return out
 
 
-def require_projector(P, tol: float = PROJECTOR_TOL) -> np.ndarray:
+def require_projector(P) -> np.ndarray:
     """Check Hermiticity, idempotence (Frobenius) and integer trace."""
-    P = require_hermitian(P, tol=tol)
+    P = require_hermitian(P, tol=PROJECTOR_TOL)
     idem = np.linalg.norm(P @ P - P)
-    if idem > tol:
+    if idem > PROJECTOR_TOL:
         raise ValueError(f"matrix is not idempotent (|P^2 - P|_F = {idem:.3e})")
     tr = float(np.real(np.trace(P)))
-    if abs(tr - round(tr)) > tol or not (1 <= round(tr) <= P.shape[0]):
+    if abs(tr - round(tr)) > PROJECTOR_TOL or not (1 <= round(tr) <= P.shape[0]):
         raise ValueError(f"projector trace {tr!r} is not an integer rank in [1, n]")
     return P
 
 
 def _require_finite_phases(E: np.ndarray, t) -> None:
     """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
-    Python floats, where an overflow gives inf and no warning."""
+    Python floats, where an overflow gives inf and no warning.  The one
+    time check: a nan or infinite t fails even at E = 0, as 0 * inf is nan."""
     phase = float(np.max(np.abs(E), initial=0.0)) * float(np.max(np.abs(t), initial=0.0))
     if not math.isfinite(phase):
         raise ValueError(f"phase max|E| max|t| = {phase!r} is not finite")
+
+
+def _propagator(E: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """V diag(exp(-i E t)) V^dagger: exp(-i H t) for the eigenpairs (E, V) of
+    H, or Q^dagger exp(-i H t) Q for V = Q^dagger V.  The one propagator."""
+    _require_finite_phases(E, t)
+    return (V * np.exp(-1j * E * t)) @ V.conj().T
 
 
 def expm_antihermitian(H, t: float) -> np.ndarray:
@@ -108,24 +116,25 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
     exp(-i H t) = V diag(exp(-i E t)) V^dagger, unitary up to the roundoff
     of ``eigh`` for any t with finite phases E t.
     """
-    H = require_hermitian(H)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    E, V = np.linalg.eigh(H)
-    _require_finite_phases(E, t)
-    return (V * np.exp(-1j * E * t)) @ V.conj().T
+    return _propagator(*np.linalg.eigh(require_hermitian(H)), float(t))
 
 
-def evolve(psi0, H, t: float) -> np.ndarray:
-    """Propagate a normalized state: psi(t) = exp(-i H t) psi0."""
+def _eigen(psi0, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (E, V) of a checked H, from one eigh, and the checked
+    normalized state psi0 of the same dimension."""
     psi0 = require_normalized(psi0)
     H = require_hermitian(H)
     if H.shape[0] != psi0.size:
         raise ValueError(
             f"dimension mismatch: state has dim {psi0.size}, operator {H.shape[0]}"
         )
-    return expm_antihermitian(H, t) @ psi0
+    return (*np.linalg.eigh(H), psi0)
+
+
+def evolve(psi0, H, t: float) -> np.ndarray:
+    """Propagate a normalized state: psi(t) = exp(-i H t) psi0."""
+    E, V, psi0 = _eigen(psi0, H)
+    return _propagator(E, V, float(t)) @ psi0
 
 
 def expectation_value(A, psi) -> float:
@@ -143,21 +152,12 @@ def _times(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("evolution time must be finite")
     return t
 
 
-def _amplitudes(psi0, H, t: np.ndarray) -> np.ndarray:
+def _amplitudes(E: np.ndarray, V: np.ndarray, psi0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k |<v_k|psi0>|^2 exp(-i E_k t) over the eigenpairs (E_k, v_k)
-    of H, for every time in t, from one eigendecomposition."""
-    psi0 = require_normalized(psi0)
-    H = require_hermitian(H)
-    if H.shape[0] != psi0.size:
-        raise ValueError(
-            f"dimension mismatch: state has dim {psi0.size}, operator {H.shape[0]}"
-        )
-    E, V = np.linalg.eigh(H)
+    of H, for every time in t."""
     _require_finite_phases(E, t)
     weights = np.abs(V.conj().T @ psi0) ** 2
     # One pass per eigenpair keeps memory at the size of t.
@@ -167,11 +167,17 @@ def _amplitudes(psi0, H, t: np.ndarray) -> np.ndarray:
     return a
 
 
+def _probabilities(E: np.ndarray, V: np.ndarray, psi0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """survival_probability from the output of _eigen."""
+    a = _amplitudes(E, V, psi0, np.append(0.0, t))
+    return np.minimum(np.abs(a[1:]) ** 2 / abs(a[0]) ** 2, 1.0)
+
+
 def survival_amplitude(psi0, H, t):
     """Overlap <psi0| exp(-i H t) |psi0> of the evolved state with itself;
     a complex for a scalar t, an array for a 1-D array of times."""
     t = _times(t)
-    a = _amplitudes(psi0, H, t)
+    a = _amplitudes(*_eigen(psi0, H), t)
     return complex(a) if t.ndim == 0 else a
 
 
@@ -182,8 +188,7 @@ def survival_probability(psi0, H, t):
     a(0) comes from the same sum as a(t), so p(0) is exactly 1.
     """
     t = _times(t)
-    a = _amplitudes(psi0, H, np.append(0.0, t))
-    p = np.minimum(np.abs(a[1:]) ** 2 / abs(a[0]) ** 2, 1.0)
+    p = _probabilities(*_eigen(psi0, H), t)
     return float(p[0]) if t.ndim == 0 else p
 
 
@@ -224,16 +229,16 @@ def short_time_coefficient(psi0, H) -> float:
     Raises ExtrapolationError when the tableau does not settle, i.e. the
     leading behavior is not quadratic to the expected accuracy.
     """
-    psi0 = require_normalized(psi0)
-    H = require_hermitian(H)
-    scale = float(np.linalg.norm(H, 2))
+    E, V, psi0 = _eigen(psi0, H)
+    # The spectral radius max|E| is the spectral norm of Hermitian H.
+    scale = float(np.max(np.abs(E)))
     if scale == 0.0:
         return 0.0
     t0 = 0.1 / scale
     levels = 5
     ts = t0 / 2.0 ** np.arange(levels)
     # Richardson tableau in the variable h = t^2 (step ratio 4 per level).
-    tab = ((1.0 - survival_probability(psi0, H, ts)) / ts**2).tolist()
+    tab = ((1.0 - _probabilities(E, V, psi0, ts)) / ts**2).tolist()
     best = [tab[0]]
     for m in range(1, levels):
         for k in range(levels - m):

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    _require_finite_phases,
-    as_state,
-    expm_antihermitian,
-    require_hermitian,
-    require_projector,
-)
+from .linalg import _propagator, as_state, require_hermitian, require_projector
 
 #: Scan errors below this are reported as exactly converged ("exact").
 EXACT_TOL = 1e-12
@@ -136,16 +130,11 @@ class ScanPoint:
 def _step_power(setup: ZenoSetup, t: float, N: int, k: int) -> np.ndarray:
     """S_N^k for the r x r measured step S_N = Q^dagger exp(-iHt/N) Q.
 
-    Raises ValueError, as expm_antihermitian does, unless t is finite and
-    every phase E t/N is finite.
+    Raises ValueError, as expm_antihermitian does, unless every phase E t/N
+    is finite.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    tau = t / N
-    E, W = setup.energies, setup.overlaps
-    _require_finite_phases(E, tau)
-    return np.linalg.matrix_power((W * np.exp(-1j * E * tau)) @ W.conj().T, k)
+    S = _propagator(setup.energies, setup.overlaps, float(t) / N)
+    return np.linalg.matrix_power(S, k)
 
 
 def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
@@ -181,7 +170,7 @@ def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
     Unitary on the measured subspace, zero on its complement.
     """
     H, P = require_hermitian(H), require_projector(P)
-    return expm_antihermitian(_compress(H, P), t) @ P
+    return _propagator(*np.linalg.eigh(_compress(H, P)), float(t)) @ P
 
 
 def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
@@ -198,7 +187,7 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     if any(N < 1 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending positive integers")
     A = setup.compression
-    UZ = expm_antihermitian(0.5 * (A + A.conj().T), t)
+    UZ = _propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ

@@ -1,9 +1,11 @@
-"""Shared draws and independent oracles for the test suite."""
+"""Shared draws, independent oracles and call counters for the test suite."""
+import functools
 import math
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 # Allow running the suite from a checkout without installing the package.
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -57,3 +59,27 @@ def scaled_taylor_expm(M: np.ndarray, terms: int = 20) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """record_calls(fn) returns a list that, from then on, receives the
+    first argument of every call of fn, in every zenogeo module that
+    bound fn (``zeno`` imports ``require_hermitian`` by name, for one)."""
+
+    def install(fn):
+        seen = []
+
+        @functools.wraps(fn)
+        def recording(*args, **kwargs):
+            seen.append(args[0])
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "zenogeo" or name.startswith("zenogeo."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, recording)
+        return seen
+
+    return install

@@ -211,6 +211,12 @@ class TestConverge:
         (slope_line,) = trailer_lines(out)
         assert -1.01 <= float(slope_line.split()[-1]) <= -0.99
 
+    def test_checks_the_projector_once(self, record_calls, capsys):
+        checked = record_calls(linalg.require_projector)
+        argv = ["converge", "--hamiltonian", "random:6", "--projector", "random:2", "--n-max", "8"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(checked) == 1
+
     def test_bad_n_max_rejected(self, capsys):
         code, _, err = run_cli(
             ["converge", "--hamiltonian", "sigma_x", "--projector", "e1",
@@ -376,6 +382,13 @@ class TestFreeze:
         assert code == 0
         _, rows = parse_csv(out)
         assert abs(rows[0][2] - 1.0) <= 1e-12
+
+    def test_three_hermiticity_checks(self, record_calls, capsys):
+        # The field once for --h0/--hx/--hy/--hz, H and the constant
+        # PROJECTOR_UP once each in zeno_limit_unitary; PHP is not rechecked.
+        checked = record_calls(linalg.require_hermitian)
+        assert run_cli(["freeze", "--hx", "0.5", "--hz", "1", "--t", "2"], capsys)[0] == 0
+        assert len(checked) == 3
 
 
 class TestParserReuse:
@@ -550,6 +563,15 @@ class TestUsageErrors:
         assert code == 2
         assert err.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--t-max", "0", "--samples", "100"], "--t-max"), (["--t-max", "1", "--samples", "1"], "--samples")],
+    )
+    def test_survival_charges_one_flag(self, argv, flag, capsys):
+        code, _, err = run_clean(["survival", "--hamiltonian", "sigma_x", "--state", "e1", *argv], capsys)
+        assert code == 2
+        assert charged_field(err) == flag
+
     def test_state_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["survival", "--hamiltonian", "sigma_x", "--state", "e5", "--t-max", "1"],
@@ -565,12 +587,14 @@ SPEC_NUMBERS = ["0", "1", "-1", "2.5", "1e300", "inf", "-inf", "nan", "x", ""]
 four_numbers = st.lists(st.sampled_from(SPEC_NUMBERS), min_size=3, max_size=5).map(",".join)
 basis_specs = st.integers(-1, 9).map("e{}".format) | st.sampled_from(["e", "e\u00b2", "e01"])
 random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["random:", "random:x", "random:1.5"])
+# "@name" stands for a file written by the spec_files fixture.
+BAD_JSON_FILES = ["@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry"]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
+    | st.sampled_from(BAD_JSON_FILES)
 )
-# "@name" stands for a file written by the spec_files fixture.
-state_specs = basis_specs | st.sampled_from(["plus", "random", "@zero_state", "@nan_state"])
-projector_specs = basis_specs | random_specs | st.sampled_from(["identity", "@non_projector"])
+state_specs = basis_specs | st.sampled_from(["plus", "random", "@zero_state", "@nan_state", *BAD_JSON_FILES])
+projector_specs = basis_specs | random_specs | st.sampled_from(["identity", "@non_projector", *BAD_JSON_FILES])
 start_specs = st.sampled_from(["north", "south", "equator"]) | four_numbers
 seeds = st.sampled_from(["-1", "0", "7"])
 SPEC_ARGVS = st.one_of(
@@ -606,11 +630,16 @@ def spec_files(tmp_path_factory):
         "@zero_state": jsonio.state_to_dict(np.zeros(2)),
         "@nan_state": {"dim": 2, "re": [math.nan, 0.0], "im": [0.0, 0.0]},
         "@non_projector": jsonio.matrix_to_dict(0.5 * np.eye(2)),
+        # JSON text, as json.dumps writes neither 1e400 nor a 400-digit entry.
+        "@dim_overflow": '{"dim": 1e400, "re": [1, 0], "im": [0, 0]}',
+        "@dim_infinity": '{"dim": Infinity, "re": [1, 0], "im": [0, 0]}',
+        "@dim_fraction": '{"dim": 2.7, "re": [1, 0], "im": [0, 0]}',
+        "@huge_entry": '{"dim": 2, "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400),
     }
     paths = {}
     for name, payload in payloads.items():
         path = folder / f"{name[1:]}.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         paths[name] = str(path)
     return paths
 
@@ -642,6 +671,18 @@ class TestSpecFuzz:
     def test_bad_spec_names_its_flag(self, argv, flag, capsys):
         field = assert_clean_usage_error(argv, flag, capsys)
         assert "--t" not in field
+
+    @pytest.mark.parametrize("name", BAD_JSON_FILES)
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["zeno-time", "--hamiltonian", "@", "--state", "e1"], "--hamiltonian"),
+            (["zeno-time", "--hamiltonian", "sigma_x", "--state", "@"], "--state"),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "@", "--n-max", "8"], "--projector"),
+        ],
+    )
+    def test_bad_json_file_names_its_flag(self, argv, flag, name, spec_files, capsys):
+        assert_clean_usage_error([spec_files[name] if a == "@" else a for a in argv], flag, capsys)
 
     @given(argv=SPEC_ARGVS)
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

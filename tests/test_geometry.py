@@ -366,3 +366,9 @@ class TestProjectiveLayer:
         base = projective_metric_length(H, psi)
         for lam in SCALES:
             assert abs(projective_metric_length(H, lam * psi) - base) <= 1e-10
+
+    def test_projective_length_checks_only_h(self, record_calls):
+        # d|psi|^2 is 2 to_chart(psi): no identity matrix to build and check.
+        checked = record_calls(linalg.require_hermitian)
+        projective_metric_length(SIGMA_X, np.array([0.6, 0.8j]))
+        assert len(checked) == 1

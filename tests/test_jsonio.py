@@ -61,6 +61,23 @@ class TestRejection:
         with pytest.raises(ValueError):
             jsonio.state_from_dict({"dim": 0, "re": [], "im": []})
 
+    # JSON text as a file holds it: 1e400 and Infinity parse to a float inf,
+    # whose int() overflows; a 400-digit entry overflows float64.
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ('{"dim": 1e400, "re": [1, 0], "im": [0, 0]}', "dim"),
+            ('{"dim": Infinity, "re": [1, 0], "im": [0, 0]}', "dim"),
+            ('{"dim": 2.7, "re": [1, 0], "im": [0, 0]}', "dim"),
+            ('{"dim": true, "re": [1], "im": [0]}', "dim"),
+            ('{"dim": 2, "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400), "malformed"),
+        ],
+        ids=["dim-1e400", "dim-infinity", "dim-fraction", "dim-bool", "huge-entry"],
+    )
+    def test_payload_rejected_with_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            jsonio.state_from_dict(json.loads(text))
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
             jsonio.matrix_to_dict(np.ones((2, 3)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_state, scaled_taylor_expm, taylor_expm
-from zenogeo import linalg
+from zenogeo import linalg, zeno
 from zenogeo.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -136,6 +136,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="normalized"):
             evolve(2.0 * E1, SIGMA_X, 1.0)
 
+    def test_checks_h_once(self, record_calls):
+        checked = record_calls(linalg.require_hermitian)
+        evolve(E1, SIGMA_X, 0.3)
+        assert len(checked) == 1
+
 
 class TestSurvival:
     def test_eigenstate_amplitude(self):
@@ -227,6 +232,26 @@ class TestSurvival:
             survival_probability(E1, 2.0 * SIGMA_X, [0.0, 1e308])
 
 
+ZERO_SETUP = zeno.ZenoSetup(np.zeros((2, 2)), np.diag([1.0, 0.0]), E1)
+TIMED = {
+    "expm_antihermitian": lambda t: expm_antihermitian(np.zeros((2, 2)), t),
+    "survival_probability": lambda t: survival_probability(E1, np.zeros((2, 2)), [0.0, t]),
+    "survival_amplitude": lambda t: survival_amplitude(E1, np.zeros((2, 2)), t),
+    "zeno_product": lambda t: zeno.zeno_product(ZERO_SETUP, t, 4),
+    "convergence_scan": lambda t: zeno.convergence_scan(ZERO_SETUP, t, [8]),
+    "measured_trajectory": lambda t: zeno.measured_trajectory(ZERO_SETUP, t, 4, 2),
+}
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_non_finite_time_rejected_at_zero_hamiltonian(name, t):
+    # At H = 0 every phase E t is 0 * t, which is nan exactly when t is not
+    # finite: the phase rule is the only time check, and it still holds.
+    with pytest.raises(ValueError, match="finite"):
+        TIMED[name](t)
+
+
 class TestZenoTime:
     def test_sigma_x_on_basis_state(self):
         assert abs(zeno_time(E1, SIGMA_X) - 1.0) < 1e-12
@@ -264,6 +289,23 @@ class TestShortTimeCoefficient:
 
     def test_zero_hamiltonian(self):
         assert short_time_coefficient(E1, np.zeros((2, 2))) == 0.0
+
+    def test_one_eigh_and_no_svd(self, monkeypatch):
+        # np.linalg.norm(H, 2) is an SVD; the spectral radius max|E| of the
+        # one eigh gives the same scale.
+        rng = np.random.default_rng(12)
+        psi, H = random_state(rng, 6), random_hermitian(rng, 6)
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            fn = getattr(np.linalg, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        short_time_coefficient(psi, H)
+        assert calls == ["eigh"]
 
     def test_matches_variance_random(self):
         rng = np.random.default_rng(11)

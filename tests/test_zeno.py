@@ -269,6 +269,17 @@ class TestZenoLimitUnitary:
         zeno_limit_unitary(SIGMA_X, P1, 0.7)
         assert len(calls) == 1
 
+    def test_never_rechecks_its_compression(self, record_calls):
+        rng = np.random.default_rng(14)
+        H = random_hermitian(rng, 5)
+        P = random_rank_projector(rng, 5, 2)
+        PHP = zeno_hamiltonian(H, P)
+        checked = record_calls(linalg.require_hermitian)
+        zeno_limit_unitary(H, P, 0.7)
+        # H, and P inside require_projector; PHP is built from both.
+        assert len(checked) == 2
+        assert not any(np.array_equal(A, PHP) for A in checked)
+
     def test_unitary_on_subspace(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -280,6 +291,12 @@ class TestZenoLimitUnitary:
 
 
 class TestConvergenceScan:
+    def test_never_rechecks_the_compression(self, record_calls):
+        setup = random_setup(np.random.default_rng(15), 6, 2)
+        checked = record_calls(linalg.require_hermitian)
+        convergence_scan(setup, 1.0, [8, 16])
+        assert checked == []
+
     def test_cos_power_ladder(self):
         setup = sigma_x_setup()
         Ns = [2 ** k for k in range(1, 11)]
