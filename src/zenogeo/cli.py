@@ -356,15 +356,22 @@ def handle_brackets(args) -> int:
     max_poisson = 0.0
     max_jordan = 0.0
     for trial in range(trials):
-        A = _random_hermitian(rng, n)
-        B = _random_hermitian(rng, n)
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # One draw per trial, sliced in the order of the six draws of
+        # _random_hermitian for A, then B, then the state's real and
+        # imaginary parts: the same bits.  A and B are Hermitian by
+        # construction, so nothing checks them again.
+        x = rng.standard_normal(4 * n * n + 2 * n)
+        m = x[: 4 * n * n].reshape(4, n, n)
+        A, B = (0.5 * (R + R.conj().T) for R in (m[0] + 1j * m[1], m[2] + 1j * m[3]))
+        v = x[4 * n * n :].reshape(2, n)
+        psi = v[0] + 1j * v[1]
         psi /= math.sqrt(linalg.norm_sq(psi))
         # One differential per function serves both brackets.
-        dA = geometry.differential(geometry.QuadraticFunction(A), psi)
-        dB = geometry.differential(geometry.QuadraticFunction(B), psi)
-        comm = 1j * (A @ B - B @ A)
-        anti = 0.5 * (A @ B + B @ A)
+        dA = geometry._differential(A, psi)
+        dB = geometry._differential(B, psi)
+        AB, BA = A @ B, B @ A
+        comm = 1j * (AB - BA)
+        anti = 0.5 * (AB + BA)
         dp = abs(geometry.symplectic_Omega(dA, dB) - linalg.expectation_value(comm, psi))
         dj = abs(geometry.metric_G(dA, dB) - linalg.expectation_value(anti, psi))
         max_poisson = max(max_poisson, dp)
@@ -404,9 +411,9 @@ def handle_brackets(args) -> int:
 def handle_freeze(args) -> int:
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
     with _charged_to("--h0/--hx/--hy/--hz"):
-        linalg.require_hermitian(hq.matrix())
+        H = linalg.require_hermitian(hq.matrix())
     with _charged_to("--t"):
-        survival, phase = qubit.frozen_state_check(hq, args.t)
+        survival, phase = qubit._frozen_state(H, args.t)
     _emit_table(
         args,
         ["t", "survival", "phase_re", "phase_im"],

@@ -77,7 +77,13 @@ def differential(f, psi) -> np.ndarray:
     f = _as_quadratic(f)
     psi = as_state(psi)
     _check_dims(f, psi)
-    w = f.operator @ psi
+    return _differential(f.operator, psi)
+
+
+def _differential(A: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """differential for a validated Hermitian A and a state psi of its
+    dimension."""
+    w = A @ psi
     return np.concatenate([2.0 * w.real, 2.0 * w.imag])
 
 

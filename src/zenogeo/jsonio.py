@@ -28,9 +28,13 @@ def matrix_to_dict(A) -> dict:
 
 def _parts(payload: dict) -> tuple[int, np.ndarray, np.ndarray]:
     try:
-        dim = payload["dim"]
-        re = np.asarray(payload["re"], dtype=np.float64)
-        im = np.asarray(payload["im"], dtype=np.float64)
+        dim, re, im = payload["dim"], payload["re"], payload["im"]
+        # Entry types, not isinstance: true is an int and not a number, and
+        # numpy would read "1" as 1.0 and null as nan.
+        if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+            raise ValueError("re and im entries must be JSON numbers")
+        re = np.asarray(re, dtype=np.float64)
+        im = np.asarray(im, dtype=np.float64)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"payload missing or malformed field: {exc}") from exc
     # A JSON integer: 2.7, 1e400 and true are not dimensions.

@@ -28,8 +28,10 @@ import numpy as np
 from . import zeno
 from .linalg import (
     VARIANCE_FLOOR,
+    _propagator,
     as_state,
     norm_sq,
+    require_hermitian,
 )
 
 #: Projector onto the first basis state, (I + sigma_z)/2.
@@ -176,8 +178,15 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
     the degenerate orbit of the flow: the dynamics freezes and only the
     phase exp(-i (h0+hz) t) accumulates.
     """
+    return _frozen_state(require_hermitian(hq.matrix()), t)
+
+
+def _frozen_state(H: np.ndarray, t: float) -> tuple[float, complex]:
+    """frozen_state_check for a validated 2 x 2 Hamiltonian H: e1 under
+    exp(-i PHP t) P with P = PROJECTOR_UP, a constant projector."""
     e1 = np.array([1.0, 0.0], dtype=np.complex128)
-    UZ = zeno.zeno_limit_unitary(hq.matrix(), PROJECTOR_UP, t)
+    PHP = zeno._compress(H, PROJECTOR_UP)
+    UZ = _propagator(*np.linalg.eigh(PHP), float(t)) @ PROJECTOR_UP
     amp = complex(np.vdot(e1, UZ @ e1))
     return abs(amp) ** 2, amp
 

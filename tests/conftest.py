@@ -3,6 +3,7 @@ import functools
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,21 @@ try:
     import zenogeo  # noqa: F401
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(_SRC))
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching only when a
+# @given test fails, and that import (through libcst) warns that
+# mypy_extensions.TypedDict is deprecated; under filterwarnings = ["error"]
+# the warning aborted the whole run.  Imported here, once, with that one
+# warning ignored for the import alone; the plugin skips the module when
+# libcst is missing, and so does this.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # pragma: no cover
+        pass
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float | None = None):

@@ -337,29 +337,36 @@ class TestBrackets:
         assert payload["pass"] is True
 
     def test_report_matches_the_per_bracket_functions(self, capsys):
-        n, trials, seed = 5, 60, 13
-        rng = np.random.default_rng(seed)
-        max_poisson = max_jordan = 0.0
-        for _ in range(trials):
-            A = cli._random_hermitian(rng, n)
-            B = cli._random_hermitian(rng, n)
-            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi /= math.sqrt(linalg.norm_sq(psi))
-            fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
-            comm = 1j * (A @ B - B @ A)
-            anti = 0.5 * (A @ B + B @ A)
-            dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
-            dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
-            max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
-        code, out, _ = run_cli(
-            ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
-            capsys,
-        )
-        assert code == 0
-        assert out.splitlines()[1:3] == [
-            f"max poisson deviation {cli._fmt(max_poisson)}",
-            f"max jordan deviation {cli._fmt(max_jordan)}",
-        ]
+        for n, trials, seed in [(5, 60, 13), (16, 50, 17)]:
+            rng = np.random.default_rng(seed)
+            max_poisson = max_jordan = 0.0
+            for _ in range(trials):
+                A = cli._random_hermitian(rng, n)
+                B = cli._random_hermitian(rng, n)
+                psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                psi /= math.sqrt(linalg.norm_sq(psi))
+                fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
+                comm = 1j * (A @ B - B @ A)
+                anti = 0.5 * (A @ B + B @ A)
+                dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
+                dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
+                max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
+            code, out, _ = run_cli(
+                ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
+                capsys,
+            )
+            assert code == 0
+            assert out.splitlines()[1:3] == [
+                f"max poisson deviation {cli._fmt(max_poisson)}",
+                f"max jordan deviation {cli._fmt(max_jordan)}",
+            ]
+
+    def test_never_checks_the_matrices_it_builds(self, record_calls, capsys):
+        # A and B are Hermitian by construction: none of the 2 x 40
+        # matrices is checked.
+        checked = record_calls(linalg.require_hermitian)
+        assert run_cli(["brackets", "--n", "3", "--trials", "40"], capsys)[0] == 0
+        assert checked == []
 
 
 class TestFreeze:
@@ -383,12 +390,13 @@ class TestFreeze:
         _, rows = parse_csv(out)
         assert abs(rows[0][2] - 1.0) <= 1e-12
 
-    def test_three_hermiticity_checks(self, record_calls, capsys):
-        # The field once for --h0/--hx/--hy/--hz, H and the constant
-        # PROJECTOR_UP once each in zeno_limit_unitary; PHP is not rechecked.
+    def test_checks_the_field_once(self, record_calls, capsys):
+        # The field once, for --h0/--hx/--hy/--hz; the limit then uses that
+        # checked H, and neither H, PHP nor the constant PROJECTOR_UP is
+        # checked again.
         checked = record_calls(linalg.require_hermitian)
         assert run_cli(["freeze", "--hx", "0.5", "--hz", "1", "--t", "2"], capsys)[0] == 0
-        assert len(checked) == 3
+        assert len(checked) == 1
 
 
 class TestParserReuse:
@@ -588,7 +596,10 @@ four_numbers = st.lists(st.sampled_from(SPEC_NUMBERS), min_size=3, max_size=5).m
 basis_specs = st.integers(-1, 9).map("e{}".format) | st.sampled_from(["e", "e\u00b2", "e01"])
 random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["random:", "random:x", "random:1.5"])
 # "@name" stands for a file written by the spec_files fixture.
-BAD_JSON_FILES = ["@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry"]
+BAD_JSON_FILES = [
+    "@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry",
+    "@string_entry", "@bool_entry", "@null_entry", "@nested_entry",
+]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
     | st.sampled_from(BAD_JSON_FILES)
@@ -635,6 +646,11 @@ def spec_files(tmp_path_factory):
         "@dim_infinity": '{"dim": Infinity, "re": [1, 0], "im": [0, 0]}',
         "@dim_fraction": '{"dim": 2.7, "re": [1, 0], "im": [0, 0]}',
         "@huge_entry": '{"dim": 2, "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400),
+        # Entries that are not JSON numbers.
+        "@string_entry": '{"dim": 2, "re": ["1", "0"], "im": [0, 0]}',
+        "@bool_entry": '{"dim": 2, "re": [true, 0], "im": [0, 0]}',
+        "@null_entry": '{"dim": 2, "re": [1, 0], "im": [null, 0]}',
+        "@nested_entry": '{"dim": 2, "re": [[1], [0]], "im": [0, 0]}',
     }
     paths = {}
     for name, payload in payloads.items():

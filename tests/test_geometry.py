@@ -123,6 +123,20 @@ class TestDifferential:
         with pytest.raises(ValueError, match="mismatch"):
             differential(QuadraticFunction(np.eye(3)), E1)
 
+    @pytest.mark.parametrize(
+        "A,match",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+            (np.array([[0.0, 1e300], [1e300, 0.0]]), "scale"),
+            (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite"),
+        ],
+        ids=["non-hermitian", "overflowing", "infinite"],
+    )
+    def test_rejects_a_bad_plain_operator(self, A, match):
+        # A plain matrix goes through QuadraticFunction's check.
+        with pytest.raises(ValueError, match=match):
+            differential(A, E1)
+
 
 class TestPairings:
     def test_metric_of_hamiltonian_differential_is_second_moment(self):

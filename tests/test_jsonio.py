@@ -71,8 +71,17 @@ class TestRejection:
             ('{"dim": 2.7, "re": [1, 0], "im": [0, 0]}', "dim"),
             ('{"dim": true, "re": [1], "im": [0]}', "dim"),
             ('{"dim": 2, "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400), "malformed"),
+            # Entries that are not JSON numbers: numpy would parse "1" and
+            # true as 1.0, and null as nan.
+            ('{"dim": 2, "re": ["1", "0"], "im": [0, 0]}', "JSON numbers"),
+            ('{"dim": 2, "re": [true, 0], "im": [0, 0]}', "JSON numbers"),
+            ('{"dim": 2, "re": [1, 0], "im": [null, 0]}', "JSON numbers"),
+            ('{"dim": 2, "re": [[1], [0]], "im": [0, 0]}', "JSON numbers"),
         ],
-        ids=["dim-1e400", "dim-infinity", "dim-fraction", "dim-bool", "huge-entry"],
+        ids=[
+            "dim-1e400", "dim-infinity", "dim-fraction", "dim-bool", "huge-entry",
+            "string-entry", "bool-entry", "null-entry", "nested-entry",
+        ],
     )
     def test_payload_rejected_with_value_error(self, text, match):
         with pytest.raises(ValueError, match=match):

@@ -285,6 +285,24 @@ class TestFrozenState:
         _, phase = frozen_state_check(QubitHamiltonian(0.0, 0.0, 0.0, 1.0), math.pi)
         assert abs(phase + 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "hq,match",
+        [
+            (QubitHamiltonian(1e308, 0.0, 0.0, 1e308), "non-finite"),
+            (QubitHamiltonian(0.0, 1e300, 0.0, 0.0), "scale"),
+        ],
+        ids=["overflowing-sum", "overflowing-scale"],
+    )
+    def test_rejects_an_overflowing_field(self, hq, match):
+        with pytest.raises(ValueError, match=match):
+            frozen_state_check(hq, 1.0)
+
+    def test_checks_its_hamiltonian_once(self, record_calls):
+        # PHP and the constant PROJECTOR_UP are not checked.
+        checked = record_calls(linalg.require_hermitian)
+        frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
+        assert len(checked) == 1
+
 
 class TestConsistencyTriangle:
     def test_flow_matches_unitary_bloch_image(self):
