@@ -235,7 +235,7 @@ def parse_projector_spec(spec: str, H: np.ndarray, rng: np.random.Generator) -> 
             P = _random_rank_projector(rng, dim, r)
         else:
             P = _load(spec, jsonio.load_matrix, "projector", dim)
-        return zeno.ZenoSetup(H, P)
+        return zeno._setup(H, P)
 
 
 def parse_bloch_start(spec: str) -> qubit.BlochPoint:

@@ -2,6 +2,15 @@
 
 The on-disk form is ``{"dim": n, "re": [...], "im": [...]}`` with row-major
 real and imaginary parts: length n for a state, n*n for a matrix.
+
+Loads decode with orjson when it is installed: it reads every number to
+the same double as json, bit for bit, about seven times as fast.  What
+orjson refuses (NaN, Infinity, numbers past the double range, lone
+surrogates) is decoded by json, and so is text with more brackets than
+_FAST_BRACKETS.  So a file gives the same arrays, or fails with
+ValueError, with or without orjson.  Only one message differs: orjson
+reads an integer past 64 bits as a float, so such a ``dim`` fails the
+integer check rather than the size check.
 """
 from __future__ import annotations
 
@@ -9,6 +18,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+#: Most brackets ("[" and "{") in text that orjson decodes, which bounds
+#: the nesting: orjson has no depth limit and overflows the C stack on
+#: deep input (3.8.3 crashed at 100 000 levels).  A state or matrix file
+#: has three.
+_FAST_BRACKETS = 1000
 
 
 def state_to_dict(psi) -> dict:
@@ -65,8 +80,27 @@ def save_state(path, psi) -> None:
     Path(path).write_text(json.dumps(state_to_dict(psi)))
 
 
+def _loads(text: str):
+    """json.loads(text), through orjson when it is installed and accepts text."""
+    if text.count("[") + text.count("{") <= _FAST_BRACKETS:
+        try:
+            # Here, not at the top: importing zenogeo does not load orjson.
+            from orjson import JSONDecodeError, loads
+        except ImportError:
+            pass
+        else:
+            try:
+                return loads(text)
+            except JSONDecodeError:
+                pass
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def load_state(path) -> np.ndarray:
-    return state_from_dict(json.loads(Path(path).read_text()))
+    return state_from_dict(_loads(Path(path).read_text()))
 
 
 def save_matrix(path, A) -> None:
@@ -74,4 +108,4 @@ def save_matrix(path, A) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(json.loads(Path(path).read_text()))
+    return matrix_from_dict(_loads(Path(path).read_text()))

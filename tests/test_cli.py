@@ -217,6 +217,13 @@ class TestConverge:
         assert run_cli(argv, capsys)[0] == 0
         assert len(checked) == 1
 
+    def test_checks_the_hamiltonian_once(self, record_calls, capsys):
+        # Once as H, once as P inside require_projector.
+        checked = record_calls(linalg.require_hermitian)
+        argv = ["converge", "--hamiltonian", "random:6", "--projector", "random:2", "--n-max", "8"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(checked) == 2
+
     def test_bad_n_max_rejected(self, capsys):
         code, _, err = run_cli(
             ["converge", "--hamiltonian", "sigma_x", "--projector", "e1",
@@ -598,7 +605,7 @@ random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["ra
 # "@name" stands for a file written by the spec_files fixture.
 BAD_JSON_FILES = [
     "@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry",
-    "@string_entry", "@bool_entry", "@null_entry", "@nested_entry",
+    "@string_entry", "@bool_entry", "@null_entry", "@nested_entry", "@deep_nesting",
 ]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
@@ -651,6 +658,8 @@ def spec_files(tmp_path_factory):
         "@bool_entry": '{"dim": 2, "re": [true, 0], "im": [0, 0]}',
         "@null_entry": '{"dim": 2, "re": [1, 0], "im": [null, 0]}',
         "@nested_entry": '{"dim": 2, "re": [[1], [0]], "im": [0, 0]}',
+        # Past json's recursion limit.
+        "@deep_nesting": "[" * 5000 + "]" * 5000,
     }
     paths = {}
     for name, payload in payloads.items():

@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zenogeo import jsonio
@@ -90,3 +94,88 @@ class TestRejection:
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
             jsonio.matrix_to_dict(np.ones((2, 3)))
+
+
+@pytest.fixture(params=["orjson", "json"])
+def decoder(request, monkeypatch):
+    """Loads decode through orjson, then through json alone."""
+    if request.param == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        # A None entry makes `import orjson` raise ImportError.
+        monkeypatch.setitem(sys.modules, "orjson", None)
+    return request.param
+
+
+def assert_loads_as_json_does(path):
+    """load_state gives, bit for bit, what state_from_dict of json.loads gives."""
+    got, want = jsonio.load_state(path), jsonio.state_from_dict(json.loads(path.read_text()))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDecoders:
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_saved_state_loads_as_json_reads_it(self, decoder, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("round-trip") / "psi.json"
+        jsonio.save_state(path, np.array([complex(q, p) for q, p in pairs]))
+        assert_loads_as_json_does(path)
+
+    # Subnormal, halfway, extreme and long-mantissa numbers, integers past
+    # 64 bits, and what only json reads.
+    @pytest.mark.parametrize(
+        "number",
+        [
+            "-0.0", "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+            "1.7976931348623157e308", "1.00000000000000011102230246251565404236316680908203125",
+            "9007199254740993", "18446744073709551616", "-123456789012345678901234567890",
+            "1e-400", "1e400", "NaN", "-Infinity",
+        ],
+    )
+    def test_number_reads_as_json_reads_it(self, decoder, number, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": 1, "re": [%s], "im": [0]}' % number)
+        assert_loads_as_json_does(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xef\xbb\xbf" + b'{"dim": 1, "re": [1], "im": [0]}',
+            b'{"dim": 1, "re": [1], "im": [0]} x',
+            b'{"dim": 123456789012345678901234567890, "re": [1], "im": [0]}',
+            b"[" * 1010 + b"]" * 1010,
+            b"[" * 5000 + b"]" * 5000,
+        ],
+        ids=["bom", "trailing-data", "dim-past-64-bits", "nested-1010", "nested-5000"],
+    )
+    def test_bad_file_raises_value_error(self, decoder, data, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            jsonio.load_state(path)
+        with pytest.raises(ValueError):
+            jsonio.load_matrix(path)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_does_not_load_orjson():
+    # jsonio imports orjson at its first load, so that starting zenogeo
+    # does not pay for it.
+    proc = run_python("import zenogeo, sys; print('orjson' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_deep_nesting_is_a_value_error_not_a_crash(tmp_path):
+    # In a child process: orjson 3.8.3 given this text overflows the C
+    # stack and kills the process.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    proc = run_python("import sys; from zenogeo import jsonio; jsonio.load_state(sys.argv[1])", str(path))
+    assert proc.returncode == 1
+    assert "ValueError: JSON nested too deeply" in proc.stderr
