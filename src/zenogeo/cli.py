@@ -94,16 +94,24 @@ def _emit_table(
 
 
 # ----------------------------------------------------------------------
-# input-spec parsing: one parser per flag, returning a validated value; the
-# helpers recognise one spec form each and raise ValueError.
+# input-spec parsing: one parser per flag, returning the plain value of a
+# well-formed spec; the library call that first uses a matrix checks it.
+# The helpers recognise one spec form each and raise ValueError.
 
 
 @contextlib.contextmanager
-def _charged_to(field: str):
-    """Report a ValueError, OSError or finite_float error as one of field."""
+def _charged_to(field: str, *inputs):
+    """Report a ValueError, OSError or finite_float error as one of field,
+    or of the first (flag, check, value) of inputs, in flag order, whose
+    value fails its check: only a failing run pays for these checks."""
     try:
         yield
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        for flag, check, value in inputs:
+            try:
+                check(value)
+            except ValueError as own:
+                raise CliInputError(flag, str(own)) from exc
         raise CliInputError(field, str(exc)) from exc
 
 
@@ -199,7 +207,7 @@ def parse_hamiltonian_spec(spec: str, rng: np.random.Generator) -> np.ndarray:
             H = _random_hermitian(rng, n)
         else:
             H = _load(spec, jsonio.load_matrix, "matrix")
-        return linalg.require_hermitian(H)
+        return H
 
 
 def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,9 +228,7 @@ def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarra
         return linalg.normalize(psi)
 
 
-def parse_projector_spec(spec: str, H: np.ndarray, rng: np.random.Generator) -> zeno.ZenoSetup:
-    """ZenoSetup of the checked H and the projector of spec, checked there."""
-    dim = H.shape[0]
+def parse_projector_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     with _charged_to("--projector"):
         k = _basis_index(spec, dim)
         r = _random_count(spec, "rank", most=dim)
@@ -235,7 +241,7 @@ def parse_projector_spec(spec: str, H: np.ndarray, rng: np.random.Generator) -> 
             P = _random_rank_projector(rng, dim, r)
         else:
             P = _load(spec, jsonio.load_matrix, "projector", dim)
-        return zeno._setup(H, P)
+        return P
 
 
 def parse_bloch_start(spec: str) -> qubit.BlochPoint:
@@ -254,6 +260,8 @@ def handle_survival(args) -> int:
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
+    with _charged_to("--hamiltonian"):
+        var = linalg.variance(H, psi0)
     if args.t_max <= 0:
         raise CliInputError("--t-max", f"must be > 0, got {args.t_max!r}")
     if args.samples < 2:
@@ -265,7 +273,6 @@ def handle_survival(args) -> int:
             "--samples",
             f"dimension x samples = {H.shape[0]} x {args.samples} exceeds {SURVIVAL_WORK_MAX}",
         )
-    var = linalg.variance(H, psi0)
     ts = np.linspace(0.0, args.t_max, args.samples)
     with _charged_to("--t-max"):
         ps = linalg.survival_probability(psi0, H, ts)
@@ -280,7 +287,8 @@ def handle_zeno_time(args) -> int:
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    var = linalg.variance(H, psi0)
+    with _charged_to("--hamiltonian"):
+        var = linalg.variance(H, psi0)
     tau = linalg.zeno_time(psi0, H)
     _emit_table(args, ["variance", "tau_z"], [[var, tau]])
     return 0
@@ -292,7 +300,10 @@ def handle_converge(args) -> int:
         raise CliInputError("--n-max", f"must be a power of two in 8..{N_MAX}, got {n_max}")
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
-    setup = parse_projector_spec(args.projector, H, rng)
+    P = parse_projector_spec(args.projector, H.shape[0], rng)
+    inputs = ("--hamiltonian", linalg.require_hermitian, H), ("--projector", linalg.require_projector, P)
+    with _charged_to("--projector", *inputs):
+        setup = zeno.ZenoSetup(H, P)
     ladder = [8]
     while ladder[-1] < n_max:
         ladder.append(ladder[-1] * 2)
@@ -410,10 +421,9 @@ def handle_brackets(args) -> int:
 
 def handle_freeze(args) -> int:
     hq = qubit.QubitHamiltonian(args.h0, args.hx, args.hy, args.hz)
-    with _charged_to("--h0/--hx/--hy/--hz"):
-        H = linalg.require_hermitian(hq.matrix())
-    with _charged_to("--t"):
-        survival, phase = qubit._frozen_state(H, args.t)
+    field = ("--h0/--hx/--hy/--hz", lambda h: linalg.require_hermitian(h.matrix()), hq)
+    with _charged_to("--t", field):
+        survival, phase = qubit.frozen_state_check(hq, args.t)
     _emit_table(
         args,
         ["t", "survival", "phase_re", "phase_im"],

@@ -41,7 +41,7 @@ def matrix_to_dict(A) -> dict:
     return {"dim": A.shape[0], "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
-def _parts(payload: dict) -> tuple[int, np.ndarray, np.ndarray]:
+def _parts(payload: dict) -> tuple[int, np.ndarray]:
     try:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
         # Entry types, not isinstance: true is an int and not a number, and
@@ -57,23 +57,28 @@ def _parts(payload: dict) -> tuple[int, np.ndarray, np.ndarray]:
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError("re and im must be flat lists of equal length")
-    return dim, re, im
+    # Parts assigned, not re + 1j * im: that loses the sign of a zero and
+    # makes an infinite imaginary part a nan real part.
+    z = np.empty(re.size, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return dim, z
 
 
 def state_from_dict(payload: dict) -> np.ndarray:
-    dim, re, im = _parts(payload)
-    if re.size != dim:
-        raise ValueError(f"state payload has {re.size} entries, expected dim = {dim}")
-    return re + 1j * im
+    dim, z = _parts(payload)
+    if z.size != dim:
+        raise ValueError(f"state payload has {z.size} entries, expected dim = {dim}")
+    return z
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
-    dim, re, im = _parts(payload)
-    if re.size != dim * dim:
+    dim, z = _parts(payload)
+    if z.size != dim * dim:
         raise ValueError(
-            f"matrix payload has {re.size} entries, expected dim^2 = {dim * dim}"
+            f"matrix payload has {z.size} entries, expected dim^2 = {dim * dim}"
         )
-    return (re + 1j * im).reshape(dim, dim)
+    return z.reshape(dim, dim)
 
 
 def save_state(path, psi) -> None:

@@ -176,14 +176,9 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
 
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
-    phase exp(-i (h0+hz) t) accumulates.
+    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H.
     """
-    return _frozen_state(require_hermitian(hq.matrix()), t)
-
-
-def _frozen_state(H: np.ndarray, t: float) -> tuple[float, complex]:
-    """frozen_state_check for a validated 2 x 2 Hamiltonian H: e1 under
-    exp(-i PHP t) P with P = PROJECTOR_UP, a constant projector."""
+    H = require_hermitian(hq.matrix())
     e1 = np.array([1.0, 0.0], dtype=np.complex128)
     PHP = zeno._compress(H, PROJECTOR_UP)
     UZ = _propagator(*np.linalg.eigh(PHP), float(t)) @ PROJECTOR_UP

@@ -41,7 +41,8 @@ class ZenoSetup:
     moves range P out of itself: for a rank-one P = |psi><psi| its square
     is the variance of H in psi, 1/tau_Z^2.
 
-    Setups compare and hash by identity.
+    The constructor, the one way to build a setup, checks H and P once
+    each and keeps the checked copies.  Setups compare and hash by identity.
     """
 
     hamiltonian: np.ndarray
@@ -54,10 +55,23 @@ class ZenoSetup:
     leakage: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        _decompose(self, require_hermitian(self.hamiltonian), self.projector)
+        H = require_hermitian(self.hamiltonian)
+        P = require_projector(self.projector)
+        if H.shape != P.shape:
+            raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
+        Q = _range_basis(P)
+        E, V = np.linalg.eigh(H)
+        HQ = H @ Q
+        A = Q.conj().T @ HQ
+        object.__setattr__(self, "hamiltonian", H)
+        object.__setattr__(self, "projector", P)
+        object.__setattr__(self, "basis", Q)
+        object.__setattr__(self, "energies", E)
+        object.__setattr__(self, "overlaps", Q.conj().T @ V)
+        object.__setattr__(self, "compression", A)
+        object.__setattr__(self, "leakage", float(np.linalg.norm(HQ - Q @ A)))
         if self.initial_state is None:
             return
-        H, P = self.hamiltonian, self.projector
         psi0 = as_state(self.initial_state)
         if psi0.size != H.shape[0]:
             raise ValueError(f"dimension mismatch: H {H.shape[0]}, state {psi0.size}")
@@ -72,34 +86,6 @@ class ZenoSetup:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-
-def _setup(H: np.ndarray, P) -> ZenoSetup:
-    """ZenoSetup(H, P) for an H that require_hermitian returned: the
-    constructor without its second check of H."""
-    setup = object.__new__(ZenoSetup)
-    object.__setattr__(setup, "initial_state", None)
-    _decompose(setup, H, P)
-    return setup
-
-
-def _decompose(setup: ZenoSetup, H: np.ndarray, P) -> None:
-    """Check P against the checked H and set every field of setup but
-    initial_state (see ZenoSetup)."""
-    P = require_projector(P)
-    if H.shape != P.shape:
-        raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
-    Q = _range_basis(P)
-    E, V = np.linalg.eigh(H)
-    HQ = H @ Q
-    A = Q.conj().T @ HQ
-    object.__setattr__(setup, "hamiltonian", H)
-    object.__setattr__(setup, "projector", P)
-    object.__setattr__(setup, "basis", Q)
-    object.__setattr__(setup, "energies", E)
-    object.__setattr__(setup, "overlaps", Q.conj().T @ V)
-    object.__setattr__(setup, "compression", A)
-    object.__setattr__(setup, "leakage", float(np.linalg.norm(HQ - Q @ A)))
 
 
 def _range_basis(P: np.ndarray) -> np.ndarray:

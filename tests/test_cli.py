@@ -1,6 +1,8 @@
 import argparse
+import ast
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenogeo import cli, geometry, jsonio, linalg
+from zenogeo import cli, geometry, jsonio, linalg, qubit
 from zenogeo.linalg import SIGMA_X
 
 
@@ -106,6 +108,12 @@ class TestZenoTime:
         )
         assert code == 0
         assert "inf" in out
+
+    def test_malformed_state_spec_outranks_a_bad_hamiltonian_matrix(self, spec_files, capsys):
+        # The parsers reject malformed specs only, and the matrix is
+        # checked later, by variance.
+        argv = ["zeno-time", "--hamiltonian", spec_files["@non_hermitian"], "--state", "e9"]
+        assert assert_clean_usage_error(argv, "--state", capsys) == "--state"
 
 
 class TestConverge:
@@ -205,7 +213,7 @@ class TestConverge:
         "args", [["sigma_x", "--projector", "e1"], ["random:6", "--projector", "random:2", "--seed", "7"]]
     )
     def test_largest_n_max_gives_a_clean_slope(self, args, capsys):
-        # At N = 2^20 the error is still far above the roundoff floor.
+        # At N = 2^20 the error keeps a few correct digits, enough for the slope.
         code, out, _ = run_cli(["converge", "--hamiltonian", *args, "--n-max", "1048576"], capsys)
         assert code == 0
         (slope_line,) = trailer_lines(out)
@@ -223,6 +231,14 @@ class TestConverge:
         argv = ["converge", "--hamiltonian", "random:6", "--projector", "random:2", "--n-max", "8"]
         assert run_cli(argv, capsys)[0] == 0
         assert len(checked) == 2
+
+    @pytest.mark.parametrize("projector", ["e1", "@non_projector"])
+    def test_non_hermitian_hamiltonian_file_names_its_flag(self, projector, spec_files, capsys):
+        # ZenoSetup checks H, then P; on failure each is checked again, in
+        # flag order, and the first that fails names the flag.
+        argv = ["converge", "--hamiltonian", spec_files["@non_hermitian"],
+                "--projector", spec_files.get(projector, projector), "--n-max", "8"]
+        assert assert_clean_usage_error(argv, "--hamiltonian", capsys) == "--hamiltonian"
 
     def test_bad_n_max_rejected(self, capsys):
         code, _, err = run_cli(
@@ -404,6 +420,55 @@ class TestFreeze:
         checked = record_calls(linalg.require_hermitian)
         assert run_cli(["freeze", "--hx", "0.5", "--hz", "1", "--t", "2"], capsys)[0] == 0
         assert len(checked) == 1
+
+    def test_calls_the_public_frozen_state_check(self, record_calls, capsys):
+        called = record_calls(qubit.frozen_state_check)
+        assert run_cli(["freeze", "--hx", "0.5", "--hz", "1", "--t", "2"], capsys)[0] == 0
+        assert called == [qubit.QubitHamiltonian(0.0, 0.5, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        # In variance, then in survival_probability or zeno_time: no parser
+        # checks a matrix.
+        (["survival", "--hamiltonian", "random:6", "--state", "random", "--t-max", "1", "--samples", "5"], 2),
+        (["zeno-time", "--hamiltonian", "random:6", "--state", "random"], 2),
+        (["flow", "--hz", "1", "--start", "equator", "--t", "1"], 0),
+    ],
+)
+def test_hermiticity_checks_per_command(argv, count, record_calls, capsys):
+    checked = record_calls(linalg.require_hermitian)
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(checked) == count
+
+
+def test_cli_reads_no_private_library_name():
+    """cli reaches zenogeo through public names only, so that every outside
+    input meets the check of the public call that uses it; a private
+    unchecked twin of a public function would skip that check.
+
+    geometry._differential is allowed: brackets applies it to matrices that
+    it draws Hermitian by construction, not to outside input.
+    """
+    allowed = {("geometry", "_differential")}
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = [a.name for a in node.names]
+            assert not [n for n in names if n.startswith("_")], names
+            modules.update(names if node.module is None else [node.module])
+    assert {"linalg", "qubit", "zeno"} <= modules
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    }
+    assert used <= allowed, used - allowed
 
 
 class TestParserReuse:
@@ -609,7 +674,7 @@ BAD_JSON_FILES = [
 ]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
-    | st.sampled_from(BAD_JSON_FILES)
+    | st.sampled_from(["@non_hermitian", *BAD_JSON_FILES])
 )
 state_specs = basis_specs | st.sampled_from(["plus", "random", "@zero_state", "@nan_state", *BAD_JSON_FILES])
 projector_specs = basis_specs | random_specs | st.sampled_from(["identity", "@non_projector", *BAD_JSON_FILES])
@@ -648,6 +713,7 @@ def spec_files(tmp_path_factory):
         "@zero_state": jsonio.state_to_dict(np.zeros(2)),
         "@nan_state": {"dim": 2, "re": [math.nan, 0.0], "im": [0.0, 0.0]},
         "@non_projector": jsonio.matrix_to_dict(0.5 * np.eye(2)),
+        "@non_hermitian": jsonio.matrix_to_dict(np.array([[0.0, 1.0], [0.0, 0.0]])),
         # JSON text, as json.dumps writes neither 1e400 nor a 400-digit entry.
         "@dim_overflow": '{"dim": 1e400, "re": [1, 0], "im": [0, 0]}',
         "@dim_infinity": '{"dim": Infinity, "re": [1, 0], "im": [0, 0]}',

@@ -1,12 +1,9 @@
 """Golden outputs of the README's command-line examples.
 
 ``tests/golden/<case>.<csv|json>`` holds what each example printed, in
-both formats, before the propagator became spectral (``eigh``) and the
-operator norm exact.  Exit code, CSV header and JSON keys, row counts and
-every word must match exactly.  Numbers must agree within 1e-9 relative or
-1e-11 absolute, except ``error_spectral`` and the fitted ``slope``: the
-recorded norms came from power iteration, which stopped up to 1e-4
-relative short of the exact operator norm.
+both formats.  Exit code, CSV header and JSON keys, row counts and every
+word must match exactly.  Every number must agree within 1e-9 relative or
+1e-11 absolute.
 """
 import contextlib
 import io
@@ -32,8 +29,6 @@ CASES = {
     "brackets": ("brackets --n 2 --trials 100 --seed 1", 0),
     "freeze": ("freeze --hz 1 --t 3.141592653589793", 0),
 }
-LOOSE = {"error_spectral", "slope"}
-LOOSE_RTOL = 1e-4
 RTOL, ATOL = 1e-9, 1e-11
 
 
@@ -59,8 +54,7 @@ def _same(got, want, name: str, where: str) -> None:
     elif math.isnan(w) or math.isinf(w):
         assert str(g) == str(w), f"{where}: {got!r} != {want!r}"
     else:
-        rtol = LOOSE_RTOL if name in LOOSE else RTOL
-        assert abs(g - w) <= max(rtol * abs(w), ATOL), f"{where} ({name}): {got!r} != {want!r}"
+        assert abs(g - w) <= max(RTOL * abs(w), ATOL), f"{where} ({name}): {got!r} != {want!r}"
 
 
 def _compare_json(got, want, name: str, where: str) -> None:

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +138,27 @@ class TestDecoders:
         path = tmp_path / "psi.json"
         path.write_text('{"dim": 1, "re": [%s], "im": [0]}' % number)
         assert_loads_as_json_does(path)
+
+    def test_negative_zero_keeps_its_sign(self, decoder, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": 1, "re": [-0.0], "im": [0]}')
+        assert math.copysign(1.0, jsonio.load_state(path)[0].real) == -1.0
+
+    def test_signed_zeros_round_trip_bit_for_bit(self, decoder, tmp_path):
+        zeros = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+        jsonio.save_state(tmp_path / "psi.json", zeros)
+        jsonio.save_matrix(tmp_path / "A.json", zeros.reshape(2, 2))
+        psi, A = jsonio.load_state(tmp_path / "psi.json"), jsonio.load_matrix(tmp_path / "A.json")
+        assert np.array_equal(psi.view(np.uint64), zeros.view(np.uint64))
+        assert np.array_equal(A.reshape(-1).view(np.uint64), zeros.view(np.uint64))
+
+    def test_infinite_imaginary_part_stays_imaginary(self, decoder, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": 1, "re": [0], "im": [Infinity]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = jsonio.load_state(path)
+        assert psi.view(np.float64).tolist() == [0.0, math.inf]
 
     @pytest.mark.parametrize(
         "data",
