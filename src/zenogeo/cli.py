@@ -94,8 +94,8 @@ def _emit_table(
 
 
 # ----------------------------------------------------------------------
-# input-spec parsing: one parser per flag, returning the plain value of a
-# well-formed spec; the library call that first uses a matrix checks it.
+# input-spec parsing: one parser per flag returns the plain value of a
+# well-formed spec; the first library call to use a matrix or start checks it.
 # The helpers recognise one spec form each and raise ValueError.
 
 
@@ -248,8 +248,7 @@ def parse_bloch_start(spec: str) -> qubit.BlochPoint:
     with _charged_to("--start"):
         if spec in _BLOCH_STARTS:
             return _BLOCH_STARTS[spec]
-        start = qubit.BlochPoint(*_four_numbers(spec, "u,x,y,z or a named start"))
-        return qubit.require_on_sphere(start)
+        return qubit.BlochPoint(*_four_numbers(spec, "u,x,y,z or a named start"))
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +336,7 @@ def handle_flow(args) -> int:
     rate = qubit.zeno_rotation_rate(hq)
     if not math.isfinite(rate):
         raise CliInputError("--h0/--hz", f"rotation rate h0 + hz = {rate!r} is not finite")
-    with _charged_to("--t"):
+    with _charged_to("--t", ("--start", qubit.require_on_sphere, start)):
         traj = qubit.integrate_zeno_flow(hq, start, args.t, args.samples)
     times = np.linspace(0.0, args.t, args.samples + 1)
     rows = [

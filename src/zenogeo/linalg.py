@@ -82,13 +82,14 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def require_projector(P) -> np.ndarray:
-    """Check Hermiticity, idempotence (Frobenius) and integer trace."""
+    """Check Hermiticity, idempotence (Frobenius) and rank >= 1, the rank being
+    the rounded trace: idempotence keeps them sqrt(n) PROJECTOR_TOL apart."""
     P = require_hermitian(P, tol=PROJECTOR_TOL)
     idem = np.linalg.norm(P @ P - P)
     if idem > PROJECTOR_TOL:
         raise ValueError(f"matrix is not idempotent (|P^2 - P|_F = {idem:.3e})")
     tr = float(np.real(np.trace(P)))
-    if abs(tr - round(tr)) > PROJECTOR_TOL or not (1 <= round(tr) <= P.shape[0]):
+    if round(tr) < 1:
         raise ValueError(f"projector trace {tr!r} is not an integer rank in [1, n]")
     return P
 

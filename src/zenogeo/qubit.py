@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import zeno
 from .linalg import (
+    NORM_SQ_FLOOR,
     VARIANCE_FLOOR,
     _propagator,
     as_state,
@@ -120,7 +120,7 @@ def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     psi = as_state(psi)
     if psi.size != 2:
         raise ValueError(f"expected a two-component state, got dim {psi.size}")
-    if norm_sq(psi) <= 1e-14:
+    if norm_sq(psi) <= NORM_SQ_FLOOR:
         raise ValueError("Zeno time undefined for a (near-)zero vector")
     b = bloch_map(psi)
     r = np.array([b.x, b.y, b.z])
@@ -176,13 +176,13 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
 
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
-    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H.
+    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H,
+    and its 1 x 1 compression onto e1, the basis of range PROJECTOR_UP.
     """
     H = require_hermitian(hq.matrix())
-    e1 = np.array([1.0, 0.0], dtype=np.complex128)
-    PHP = zeno._compress(H, PROJECTOR_UP)
-    UZ = _propagator(*np.linalg.eigh(PHP), float(t)) @ PROJECTOR_UP
-    amp = complex(np.vdot(e1, UZ @ e1))
+    e1 = PROJECTOR_UP[:, :1]
+    A = e1.conj().T @ H @ e1
+    amp = complex(_propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))[0, 0])
     return abs(amp) ** 2, amp
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _propagator, as_state, require_hermitian, require_projector
+from .linalg import PROJECTOR_TOL, _propagator, as_state, require_hermitian, require_projector
 
 #: Scan errors below this are reported as exactly converged ("exact").
 EXACT_TOL = 1e-12
@@ -57,12 +57,8 @@ class ZenoSetup:
     def __post_init__(self):
         H = require_hermitian(self.hamiltonian)
         P = require_projector(self.projector)
-        if H.shape != P.shape:
-            raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
-        Q = _range_basis(P)
+        Q, HQ, A = _compression(H, P)
         E, V = np.linalg.eigh(H)
-        HQ = H @ Q
-        A = Q.conj().T @ HQ
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "projector", P)
         object.__setattr__(self, "basis", Q)
@@ -76,7 +72,7 @@ class ZenoSetup:
         if psi0.size != H.shape[0]:
             raise ValueError(f"dimension mismatch: H {H.shape[0]}, state {psi0.size}")
         resid = float(np.linalg.norm(P @ psi0 - psi0))
-        if resid > 1e-10:
+        if resid > PROJECTOR_TOL:
             raise ValueError(
                 f"initial state is not prepared in the measured subspace "
                 f"(|P psi0 - psi0| = {resid:.3e})"
@@ -86,6 +82,15 @@ class ZenoSetup:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+
+def _compression(H: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q = _range_basis(P), HQ and A = Q^dagger H Q for a checked H and P."""
+    if H.shape != P.shape:
+        raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
+    Q = _range_basis(P)
+    HQ = H @ Q
+    return Q, HQ, Q.conj().T @ HQ
 
 
 def _range_basis(P: np.ndarray) -> np.ndarray:
@@ -152,26 +157,19 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
 
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
-    """Compression PHP of the Hamiltonian to the measured subspace."""
-    return _compress(require_hermitian(H), require_projector(P))
-
-
-def _compress(H: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """PHP for a validated Hamiltonian H and projector P."""
-    if H.shape != P.shape:
-        raise ValueError("H and P have mismatched dimensions")
-    HZ = P @ H @ P
-    # Symmetrize away the last-bit Hermiticity loss from the two products.
-    return 0.5 * (HZ + HZ.conj().T)
+    """Compression PHP = Q (A + A^dagger)/2 Q^dagger to the measured subspace."""
+    Q, _, A = _compression(require_hermitian(H), require_projector(P))
+    return Q @ (0.5 * (A + A.conj().T)) @ Q.conj().T
 
 
 def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
-    """Limit of V_N(t) for N -> infinity: exp(-i PHP t) P.
+    """Limit of V_N(t) for N -> infinity: exp(-i PHP t) P = Q exp(-iAt) Q^dagger.
 
     Unitary on the measured subspace, zero on its complement.
     """
-    H, P = require_hermitian(H), require_projector(P)
-    return _propagator(*np.linalg.eigh(_compress(H, P)), float(t)) @ P
+    Q, _, A = _compression(require_hermitian(H), require_projector(P))
+    a, Z = np.linalg.eigh(0.5 * (A + A.conj().T))
+    return _propagator(a, Q @ Z, float(t))
 
 
 def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:

@@ -209,6 +209,26 @@ class TestConverge:
         assert (code, err) == (0, "")
         assert len(parse_csv(out)[1]) == 1
 
+    def test_projector_rank_is_its_rounded_trace(self, capsys, tmp_path):
+        # |P^2 - P|_F = 8.7e-11 passes the idempotence check, and the rank
+        # is the rounded trace, 3 + 1.5e-10.
+        path = tmp_path / "P.json"
+        jsonio.save_matrix(path, np.diag([1 + 5e-11, 1 + 5e-11, 1 + 5e-11, 0.0]))
+        code, out, err = run_cli(
+            ["converge", "--hamiltonian", "random:4", "--projector", str(path), "--n-max", "8"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 1
+
+    def test_zero_projector_file_names_its_flag(self, capsys, tmp_path):
+        path = tmp_path / "P.json"
+        jsonio.save_matrix(path, np.zeros((2, 2)))
+        code, _, err = run_clean(
+            ["converge", "--hamiltonian", "sigma_x", "--projector", str(path), "--n-max", "8"], capsys
+        )
+        assert code == 2
+        assert err == "error: --projector: projector trace 0.0 is not an integer rank in [1, n]\n"
+
     @pytest.mark.parametrize(
         "args", [["sigma_x", "--projector", "e1"], ["random:6", "--projector", "random:2", "--seed", "7"]]
     )
@@ -311,6 +331,23 @@ class TestFlow:
         assert code == 2
         assert "--start" in err
 
+    def test_checks_the_start_once(self, record_calls, capsys):
+        # In integrate_zeno_flow; the parser returns the point unchecked.
+        checked = record_calls(qubit.require_on_sphere)
+        assert run_cli(["flow", "--hz", "1", "--start", "1,0,0,1", "--t", "1"], capsys)[0] == 0
+        assert checked == [qubit.BlochPoint(1.0, 0.0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--hz=1", "--samples=0"], "--samples"), (["--h0=1e308", "--hz=1e308"], "--h0/--hz")],
+    )
+    def test_bad_samples_or_rate_outranks_an_off_sphere_start(self, argv, flag, capsys):
+        # The start is checked where the flow uses it, after --samples and
+        # the rate h0 + hz.
+        code, _, err = run_clean(["flow", *argv, "--start", "1,1,1,1", "--t", "1"], capsys)
+        assert code == 2
+        assert charged_field(err) == flag
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             ["flow", "--hz", "1", "--start", "north", "--t", "1",
@@ -383,6 +420,19 @@ class TestBrackets:
                 f"max poisson deviation {cli._fmt(max_poisson)}",
                 f"max jordan deviation {cli._fmt(max_jordan)}",
             ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fail_report(self, fmt, monkeypatch, capsys):
+        # Every deviation exceeds a zero tolerance.
+        monkeypatch.setattr(cli, "BRACKET_TOL", 0.0)
+        code, out, err = run_cli(
+            ["brackets", "--n", "4", "--trials", "5", "--seed", "1", "--format", fmt], capsys
+        )
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["pass"] is False
+        else:
+            assert out.splitlines()[-1].startswith("FAIL (tolerance 0); worst: trial 4 poisson deviation ")
 
     def test_never_checks_the_matrices_it_builds(self, record_calls, capsys):
         # A and B are Hermitian by construction: none of the 2 x 40
@@ -635,6 +685,7 @@ class TestUsageErrors:
             (["survival", "--hamiltonian", "random:1024", "--state", "e1", "--t-max", "1", "--samples", "10001"],
              "--samples: dimension x samples = 1024 x 10001 exceeds 10240000"),
             (["brackets", "--n", "16", "--trials", "3001"], "--trials: must be in 1..3000, got 3001"),
+            (["brackets", "--n", "17", "--trials", "1"], "--n: dimension must be in 1..16, got 17"),
         ],
     )
     def test_work_budget(self, argv, message, capsys):
@@ -651,6 +702,26 @@ class TestUsageErrors:
         code, _, err = run_clean(["survival", "--hamiltonian", "sigma_x", "--state", "e1", *argv], capsys)
         assert code == 2
         assert charged_field(err) == flag
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["zeno-time", "--hamiltonian", "sigma_x", "--state", "@dim3_state"],
+             "--state: state has dim 3, Hamiltonian has 2"),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "@dim3_non_hermitian", "--n-max", "8"],
+             "--projector: projector has dim 3, Hamiltonian has 2"),
+        ],
+    )
+    def test_file_of_another_dimension_names_its_flag(self, argv, message, spec_files, capsys):
+        # The dimension is checked on load, before the matrix itself.
+        code, _, err = run_clean([spec_files.get(a, a) for a in argv], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_out_into_a_missing_folder_names_out(self, tmp_path, capsys):
+        code, out, err = run_clean(["freeze", "--t", "1", "--out", str(tmp_path / "no" / "f.csv")], capsys)
+        assert (code, out) == (2, "")
+        assert charged_field(err) == "--out"
 
     def test_state_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -671,6 +742,7 @@ random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["ra
 BAD_JSON_FILES = [
     "@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry",
     "@string_entry", "@bool_entry", "@null_entry", "@nested_entry", "@deep_nesting",
+    "@ragged_parts", "@dim3_state", "@dim3_non_hermitian",
 ]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
@@ -726,6 +798,11 @@ def spec_files(tmp_path_factory):
         "@nested_entry": '{"dim": 2, "re": [[1], [0]], "im": [0, 0]}',
         # Past json's recursion limit.
         "@deep_nesting": "[" * 5000 + "]" * 5000,
+        "@ragged_parts": '{"dim": 2, "re": [1, 0], "im": [0]}',
+        # Of dimension 3, against the 2 of sigma_x: a state, and a matrix
+        # that is neither a Hamiltonian nor a projector.
+        "@dim3_state": jsonio.state_to_dict(np.ones(3)),
+        "@dim3_non_hermitian": jsonio.matrix_to_dict(np.diag([1.0, 1.0], k=1)),
     }
     paths = {}
     for name, payload in payloads.items():

@@ -83,10 +83,11 @@ class TestRejection:
             ('{"dim": 2, "re": [true, 0], "im": [0, 0]}', "JSON numbers"),
             ('{"dim": 2, "re": [1, 0], "im": [null, 0]}', "JSON numbers"),
             ('{"dim": 2, "re": [[1], [0]], "im": [0, 0]}', "JSON numbers"),
+            ('{"dim": 2, "re": [1, 0], "im": [0]}', "equal length"),
         ],
         ids=[
             "dim-1e400", "dim-infinity", "dim-fraction", "dim-bool", "huge-entry",
-            "string-entry", "bool-entry", "null-entry", "nested-entry",
+            "string-entry", "bool-entry", "null-entry", "nested-entry", "ragged-parts",
         ],
     )
     def test_payload_rejected_with_value_error(self, text, match):

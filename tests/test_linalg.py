@@ -341,6 +341,10 @@ class TestValidation:
         linalg.require_projector(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="idempotent"):
             linalg.require_projector(np.diag([0.5, 0.0]))
+        # |P^2 - P|_F = 8.7e-11 passes; the rank is the rounded trace, 3 + 1.5e-10.
+        linalg.require_projector(np.diag([1 + 5e-11, 1 + 5e-11, 1 + 5e-11, 0.0]))
+        with pytest.raises(ValueError, match=r"^projector trace 0\.0 is not an integer rank in \[1, n\]$"):
+            linalg.require_projector(np.zeros((3, 3)))
 
     @given(st.floats(-50.0, 50.0))
     @settings(max_examples=40, deadline=None)

@@ -1,11 +1,13 @@
+import ast
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from conftest import random_state, scaled_taylor_expm
-from zenogeo import geometry, linalg, zeno
+from zenogeo import geometry, linalg, qubit, zeno
 from zenogeo.qubit import (
     PROJECTOR_UP,
     BlochPoint,
@@ -302,6 +304,27 @@ class TestFrozenState:
         checked = record_calls(linalg.require_hermitian)
         frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
         assert len(checked) == 1
+
+    def test_diagonalizes_the_1x1_compression(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape) or eigh(a))
+        frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
+        assert sizes == [(1, 1)]
+
+
+def test_qubit_imports_nothing_from_zeno():
+    """frozen_state_check compresses H onto e1 itself, so qubit reaches no
+    zeno name, private or public."""
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(qubit.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert "linalg" in imported
+    assert not [m for m in imported if "zeno" in m.split(".")]
 
 
 class TestConsistencyTriangle:

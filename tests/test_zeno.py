@@ -247,6 +247,13 @@ class TestZenoHamiltonian:
             assert np.max(np.abs(P @ HZ @ P - HZ)) <= 1e-12 * (1 + np.linalg.norm(H))
 
 
+@pytest.mark.parametrize("limit", [zeno_hamiltonian, lambda H, P: zeno_limit_unitary(H, P, 1.0)],
+                         ids=["zeno_hamiltonian", "zeno_limit_unitary"])
+def test_limit_rejects_mismatched_dimensions(limit):
+    with pytest.raises(ValueError, match="dimension"):
+        limit(SIGMA_X, np.eye(3))
+
+
 class TestZenoLimitUnitary:
     def test_frozen_when_generator_vanishes(self):
         assert np.max(np.abs(zeno_limit_unitary(SIGMA_X, P1, 2.1) - P1)) <= 1e-14
@@ -287,6 +294,28 @@ class TestZenoLimitUnitary:
         # H, and P inside require_projector; PHP is built from both.
         assert len(checked) == 2
         assert not any(np.array_equal(A, PHP) for A in checked)
+
+    def test_diagonalizes_only_the_compression(self, eigh_sizes):
+        # The r x r A = Q^dagger H Q, not the n x n PHP.
+        rng = np.random.default_rng(16)
+        zeno_limit_unitary(random_hermitian(rng, 6), random_rank_projector(rng, 6, 2), 0.7)
+        assert eigh_sizes == [2]
+
+    @pytest.mark.parametrize("N", [8, 1024])
+    def test_near_projector_product_meets_its_limit(self, N):
+        # P = |q><q| + 5e-11 |w><w| passes the projector check, and H
+        # commutes with |q><q|, so V_N(t) is the limit at every N.  Product
+        # and limit both act on the span of q.
+        n = 6
+        q = np.full(n, 1.0 / math.sqrt(n))
+        w = np.eye(n)[0] - q[0] * q
+        w /= np.linalg.norm(w)
+        P = np.outer(q, q) + 5e-11 * np.outer(w, w)
+        rest = np.eye(n) - np.outer(q, q)
+        H = 0.7 * np.outer(q, q) + rest @ random_hermitian(np.random.default_rng(17), n) @ rest
+        H = 0.5 * (H + H.conj().T)
+        diff = zeno_product(ZenoSetup(H, P), 1.0, N) - zeno_limit_unitary(H, P, 1.0)
+        assert np.linalg.norm(diff, 2) <= 1e-12
 
     def test_unitary_on_subspace(self):
         rng = np.random.default_rng(5)
