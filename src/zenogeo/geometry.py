@@ -12,7 +12,9 @@ Conventions, fixed once and used everywhere:
 
 Covectors and vectors are plain real 1-D arrays of length 2n in the
 (q..., p...) ordering; both tensors have constant components in this chart,
-so the pairings take no base point.
+so the pairings take no base point.  ``metric_G``, ``symplectic_Omega``
+and ``_differential`` also take stacks: they act along the last axis, row
+by row over any leading axes, and give each row the bits of its 1-D call.
 """
 from __future__ import annotations
 
@@ -20,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NORM_SQ_FLOOR, as_state, expectation_value, norm_sq, require_hermitian
+from .linalg import (
+    NORM_SQ_FLOOR,
+    _dot,
+    _value,
+    as_state,
+    expectation_value,
+    norm_sq,
+    require_hermitian,
+)
 
 
 def to_chart(psi) -> np.ndarray:
@@ -82,39 +92,43 @@ def differential(f, psi) -> np.ndarray:
 
 def _differential(A: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """differential for a validated Hermitian A and a state psi of its
-    dimension."""
-    w = A @ psi
-    return np.concatenate([2.0 * w.real, 2.0 * w.imag])
+    dimension, or row by row for a stack of them: A (..., n, n) and
+    psi (..., n) give (..., 2n), which metric_G and symplectic_Omega pair
+    row by row."""
+    w = (A @ psi[..., None])[..., 0]
+    return np.concatenate([2.0 * w.real, 2.0 * w.imag], axis=-1)
 
 
 def _split(df) -> tuple[np.ndarray, np.ndarray]:
     df = np.asarray(df, dtype=np.float64)
-    if df.ndim != 1 or df.size % 2 != 0 or df.size == 0:
+    if df.ndim == 0 or df.shape[-1] % 2 != 0 or df.shape[-1] == 0:
         raise ValueError(f"covector must have even positive length, got {df.shape}")
-    n = df.size // 2
-    return df[:n], df[n:]
+    n = df.shape[-1] // 2
+    return df[..., :n], df[..., n:]
 
 
-def metric_G(df, dg) -> float:
-    """Contravariant metric pairing, (1/4) sum_k (df_q dg_q + df_p dg_p)."""
+def _split_pair(df, dg) -> tuple[np.ndarray, ...]:
     fq, fp = _split(df)
     gq, gp = _split(dg)
-    if fq.size != gq.size:
+    if fq.shape[-1] != gq.shape[-1]:
         raise ValueError("covectors have mismatched dimensions")
-    return 0.25 * float(fq @ gq + fp @ gp)
+    return fq, fp, gq, gp
 
 
-def symplectic_Omega(df, dg) -> float:
+def metric_G(df, dg):
+    """Contravariant metric pairing, (1/4) sum_k (df_q dg_q + df_p dg_p)."""
+    fq, fp, gq, gp = _split_pair(df, dg)
+    return _value(0.25 * (_dot(fq, gq) + _dot(fp, gp)))
+
+
+def symplectic_Omega(df, dg):
     """Contravariant symplectic pairing, -(1/2) sum_k (df_q dg_p - df_p dg_q).
 
     Antisymmetric by construction; the sign and factor make the Poisson
     bracket of expectation values the commutator image (see module docs).
     """
-    fq, fp = _split(df)
-    gq, gp = _split(dg)
-    if fq.size != gq.size:
-        raise ValueError("covectors have mismatched dimensions")
-    return -0.5 * float(fq @ gp - fp @ gq)
+    fq, fp, gq, gp = _split_pair(df, dg)
+    return _value(-0.5 * (_dot(fq, gp) - _dot(fp, gq)))
 
 
 def poisson_bracket(fA, fB, psi) -> float:

@@ -42,9 +42,26 @@ def as_state(psi) -> np.ndarray:
     return out
 
 
-def norm_sq(psi) -> float:
+def _dot(u: np.ndarray, v: np.ndarray):
+    """sum_k u_k v_k along the last axis, row by row over any leading axes.
+
+    Each row is one (1, n) @ (n, 1) product, a single BLAS dot, so a row of
+    a stack gives the bits of the same vector on its own.  1-D input gives
+    a numpy scalar.
+    """
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _value(x):
+    """A float for one vector's result, the array of results for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def norm_sq(psi):
+    """|psi|^2 along the last axis: a float for one state, an array for a
+    stack of states."""
     psi = np.asarray(psi)
-    return float(np.real(np.vdot(psi, psi)))
+    return _value(np.real(_dot(psi.conj(), psi)))
 
 
 def normalize(psi) -> np.ndarray:
@@ -138,15 +155,19 @@ def evolve(psi0, H, t: float) -> np.ndarray:
     return _propagator(E, V, float(t)) @ psi0
 
 
-def expectation_value(A, psi) -> float:
-    """Unnormalized quadratic form <psi|A|psi> (real for Hermitian A)."""
+def expectation_value(A, psi):
+    """Unnormalized quadratic form Re <psi|A|psi> (real for Hermitian A).
+
+    A float for an (n, n) A and a state psi; for a stack A (..., n, n) and
+    psi (..., n), the array of the row-by-row values.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
-    if A.shape[0] != psi.size:
+    if psi.ndim == 0 or A.ndim < 2 or A.shape[-2:] != (psi.shape[-1],) * 2:
         raise ValueError(
-            f"dimension mismatch: state has dim {psi.size}, operator {A.shape[0]}"
+            f"dimension mismatch: state has shape {psi.shape}, operator {A.shape}"
         )
-    return float(np.real(np.vdot(psi, A @ psi)))
+    return _value(np.real(_dot(psi.conj(), (A @ psi[..., None])[..., 0])))
 
 
 def _times(t) -> np.ndarray:

@@ -3,6 +3,7 @@ import ast
 import json
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -360,6 +361,12 @@ class TestFlow:
         assert payload["rows"][0]["u"] == 1.0
 
 
+def bracket_block(n):
+    """Trials per brackets block: each stacked n x n complex matrix fits in
+    BRACKET_BLOCK_BYTES."""
+    return max(1, cli.BRACKET_BLOCK_BYTES // (16 * n * n))
+
+
 class TestBrackets:
     def test_seeded_run_passes(self, capsys):
         code, out, _ = run_cli(
@@ -396,20 +403,40 @@ class TestBrackets:
         payload = json.loads(out)
         assert payload["pass"] is True
 
+    @staticmethod
+    def deviations(n, trials, seed):
+        """(poisson, jordan) deviation of each trial, one trial at a time
+        through the public 1-D bracket functions."""
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            A = cli._random_hermitian(rng, n)
+            B = cli._random_hermitian(rng, n)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= math.sqrt(linalg.norm_sq(psi))
+            fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
+            comm = 1j * (A @ B - B @ A)
+            anti = 0.5 * (A @ B + B @ A)
+            dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
+            dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
+            yield dp, dj
+
+    def test_blocks_of_the_documented_size(self):
+        assert [bracket_block(n) for n in (1, 2, 16)] == [2048, 512, 8]
+
+    # Around each block edge: a block short of full, one full block, one
+    # trial into the next, and past two blocks (within --trials' bound).
+    BLOCK_EDGES = [
+        (n, trials, 20 + n)
+        for n in (1, 2, 16)
+        for k in [bracket_block(n)]
+        for trials in (k - 1, k, k + 1, 2 * k + 1)
+        if trials <= cli.TRIALS_MAX
+    ]
+
     def test_report_matches_the_per_bracket_functions(self, capsys):
-        for n, trials, seed in [(5, 60, 13), (16, 50, 17)]:
-            rng = np.random.default_rng(seed)
+        for n, trials, seed in [(5, 60, 13), (16, 50, 17)] + self.BLOCK_EDGES:
             max_poisson = max_jordan = 0.0
-            for _ in range(trials):
-                A = cli._random_hermitian(rng, n)
-                B = cli._random_hermitian(rng, n)
-                psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                psi /= math.sqrt(linalg.norm_sq(psi))
-                fA, fB = geometry.QuadraticFunction(A), geometry.QuadraticFunction(B)
-                comm = 1j * (A @ B - B @ A)
-                anti = 0.5 * (A @ B + B @ A)
-                dp = abs(geometry.poisson_bracket(fA, fB, psi) - linalg.expectation_value(comm, psi))
-                dj = abs(geometry.jordan_bracket(fA, fB, psi) - linalg.expectation_value(anti, psi))
+            for dp, dj in self.deviations(n, trials, seed):
                 max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
             code, out, _ = run_cli(
                 ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
@@ -433,6 +460,44 @@ class TestBrackets:
             assert json.loads(out)["pass"] is False
         else:
             assert out.splitlines()[-1].startswith("FAIL (tolerance 0); worst: trial 4 poisson deviation ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fail_report_names_a_worst_trial_past_the_first_block(self, fmt, monkeypatch, capsys):
+        n, trials, seed = 16, 40, 2
+        devs = [d for pair in self.deviations(n, trials, seed) for d in pair]
+        # The first largest deviation, in trial order and poisson first.
+        i = devs.index(max(devs))
+        trial, kind = i // 2, ("poisson", "jordan")[i % 2]
+        assert trial >= bracket_block(n)
+        monkeypatch.setattr(cli, "BRACKET_TOL", 0.0)
+        code, out, err = run_cli(
+            ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed), "--format", fmt],
+            capsys,
+        )
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["pass"] is False
+            assert max(payload["max_poisson_deviation"], payload["max_jordan_deviation"]) == devs[i]
+        else:
+            assert out.splitlines()[-1] == (
+                f"FAIL (tolerance 0); worst: trial {trial} {kind} deviation {cli._fmt(devs[i])}"
+            )
+
+    def test_peak_memory_does_not_grow_with_trials(self, capsys):
+        # Blocks of a fixed size keep the peak at a few trials' worth.
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert cli.main(["brackets", "--n", "16", "--trials", str(trials)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the parser and every import, before any measurement
+        small, large = peak(300), peak(3000)
+        capsys.readouterr()
+        assert large <= 1.1 * small, (small, large)
 
     def test_never_checks_the_matrices_it_builds(self, record_calls, capsys):
         # A and B are Hermitian by construction: none of the 2 x 40
@@ -498,8 +563,8 @@ def test_cli_reads_no_private_library_name():
     input meets the check of the public call that uses it; a private
     unchecked twin of a public function would skip that check.
 
-    geometry._differential is allowed: brackets applies it to matrices that
-    it draws Hermitian by construction, not to outside input.
+    geometry._differential is allowed: brackets applies it to stacks of
+    matrices that it draws Hermitian by construction, not to outside input.
     """
     allowed = {("geometry", "_differential")}
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())

@@ -194,6 +194,63 @@ class TestPairings:
             metric_G(np.ones(4), np.ones(6))
 
 
+def rows(x, width):
+    """The rows of a stack along its last axis (or of its last two axes)."""
+    return x.reshape((-1,) + x.shape[x.ndim - width :])
+
+
+class TestStacks:
+    """The pairings and the differential act along the last axis over any
+    leading axes, and each row of a stack gets the bits of its 1-D call."""
+
+    LEADS = [(1,), (7,), (3, 4), (0,)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    def test_pairings_equal_the_row_by_row_calls(self, n, lead):
+        rng = np.random.default_rng(n)
+        df = rng.standard_normal(lead + (2 * n,))
+        dg = rng.standard_normal(lead + (2 * n,))
+        for pairing in (metric_G, symplectic_Omega):
+            got = pairing(df, dg)
+            want = [pairing(a, b) for a, b in zip(rows(df, 1), rows(dg, 1))]
+            assert got.shape == lead
+            assert (got.ravel() == np.array(want)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    def test_differential_equals_the_row_by_row_calls(self, n, lead):
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+        A = 0.5 * (R + R.conj().swapaxes(-1, -2))
+        psi = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        got = geometry._differential(A, psi)
+        want = [geometry._differential(a, p) for a, p in zip(rows(A, 2), rows(psi, 1))]
+        assert got.shape == lead + (2 * n,)
+        assert (rows(got, 1) == np.array(want).reshape(-1, 2 * n)).all()
+
+    def test_a_pair_of_covectors_gives_a_float(self):
+        df, dg = np.arange(4.0), np.ones(4)
+        assert type(metric_G(df, dg)) is float
+        assert type(symplectic_Omega(df, dg)) is float
+
+    @pytest.mark.parametrize(
+        "df,dg",
+        [
+            (np.ones((3, 5)), np.ones((3, 5))),
+            (np.ones((3, 0)), np.ones((3, 0))),
+            (np.ones((3, 4)), np.ones((3, 6))),
+            (np.ones(4), np.ones((3, 6))),
+            (np.float64(1.0), np.ones(2)),
+        ],
+        ids=["odd", "empty", "mismatched", "mismatched-1d", "scalar"],
+    )
+    def test_bad_covector_stacks_are_rejected(self, df, dg):
+        for pairing in (metric_G, symplectic_Omega):
+            with pytest.raises(ValueError):
+                pairing(df, dg)
+
+
 class TestBrackets:
     def test_pauli_xy_poisson(self):
         rng = np.random.default_rng(9)

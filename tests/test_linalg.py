@@ -353,6 +353,47 @@ class TestValidation:
         assert 0.0 <= p <= 1.0
 
 
+class TestStacks:
+    """expectation_value and norm_sq act along the last axis over any
+    leading axes, and each row of a stack gets the bits of its 1-D call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("lead", [(1,), (7,), (3, 4), (0,)], ids=str)
+    def test_quadratic_forms_equal_the_row_by_row_calls(self, n, lead):
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+        A = 0.5 * (R + R.conj().swapaxes(-1, -2))
+        psi = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        psi_rows = psi.reshape(-1, n)
+        got = linalg.expectation_value(A, psi)
+        want = [linalg.expectation_value(a, p) for a, p in zip(A.reshape(-1, n, n), psi_rows)]
+        assert got.shape == lead
+        assert (got.ravel() == np.array(want)).all()
+        got = linalg.norm_sq(psi)
+        assert got.shape == lead
+        assert (got.ravel() == np.array([linalg.norm_sq(p) for p in psi_rows])).all()
+
+    def test_one_state_gives_a_float(self):
+        psi = np.array([0.6, 0.8j])
+        assert type(linalg.expectation_value(SIGMA_Z, psi)) is float
+        assert type(linalg.norm_sq(psi)) is float
+
+    @pytest.mark.parametrize(
+        "A,psi",
+        [
+            (np.eye(3), E1),
+            (np.eye(2), np.ones((4, 3))),
+            (np.ones((4, 2, 3)), np.ones((4, 3))),
+            (np.ones(2), E1),
+            (np.eye(2), np.complex128(1.0)),
+        ],
+        ids=["mismatched", "mismatched-stack", "not-square", "vector-operator", "scalar-state"],
+    )
+    def test_mismatched_sizes_are_rejected(self, A, psi):
+        with pytest.raises(ValueError, match="mismatch"):
+            linalg.expectation_value(A, psi)
+
+
 class TestExtrapolationDiagnostics:
     def test_extrapolation_error_type_exists(self):
         assert issubclass(ExtrapolationError, RuntimeError)
