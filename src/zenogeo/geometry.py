@@ -160,18 +160,6 @@ def hamiltonian_vector_field(f, psi) -> np.ndarray:
     return np.concatenate([w.imag, -w.real])
 
 
-def hamiltonian_flow_matrix(H) -> np.ndarray:
-    """Chart matrix of X_{f_H}: the real 2n x 2n generator of zdot = -iHz.
-
-    Writing H = Hr + i Hi, the block form is [[Hi, Hr], [-Hr, Hi]].
-    Feeding this to an ODE integrator evolves chart points under the
-    Schrodinger flow.
-    """
-    H = require_hermitian(H)
-    Hr, Hi = H.real, H.imag
-    return np.block([[Hi, Hr], [-Hr, Hi]])
-
-
 def homogeneous_expectation(A, psi) -> float:
     """Ray function <psi|A|psi> / <psi|psi>, invariant under psi -> c psi."""
     psi = as_state(psi)
@@ -205,7 +193,6 @@ __all__ = [
     "QuadraticFunction",
     "differential",
     "from_chart",
-    "hamiltonian_flow_matrix",
     "hamiltonian_vector_field",
     "homogeneous_expectation",
     "jordan_bracket",

@@ -84,10 +84,12 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     out = np.array(A, dtype=np.complex128, copy=True)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise ValueError("operator contains non-finite entries")
     # Parts, not |A_ij|, which can overflow; |A_ij| <= sqrt(2) max part.
-    scale = out.shape[0] * float(np.max(np.abs(out.view(np.float64)), initial=0.0))
+    # The max propagates nan, so a finite peak means finite entries.
+    peak = float(np.max(np.abs(out.view(np.float64)), initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("operator contains non-finite entries")
+    scale = out.shape[0] * peak
     if scale > OPERATOR_SCALE_MAX:
         raise ValueError(
             f"operator scale n max|Re, Im A_ij| = {scale:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"

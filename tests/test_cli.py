@@ -807,7 +807,7 @@ random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["ra
 BAD_JSON_FILES = [
     "@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry",
     "@string_entry", "@bool_entry", "@null_entry", "@nested_entry", "@deep_nesting",
-    "@ragged_parts", "@dim3_state", "@dim3_non_hermitian",
+    "@ragged_parts", "@dim3_state", "@dim3_non_hermitian", "@bom",
 ]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
@@ -868,11 +868,13 @@ def spec_files(tmp_path_factory):
         # that is neither a Hamiltonian nor a projector.
         "@dim3_state": jsonio.state_to_dict(np.ones(3)),
         "@dim3_non_hermitian": jsonio.matrix_to_dict(np.diag([1.0, 1.0], k=1)),
+        # A UTF-8 byte order mark, which JSON text may not start with.
+        "@bom": "\ufeff" + json.dumps(jsonio.matrix_to_dict(np.eye(2))),
     }
     paths = {}
     for name, payload in payloads.items():
         path = folder / f"{name[1:]}.json"
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
         paths[name] = str(path)
     return paths
 

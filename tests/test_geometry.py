@@ -11,7 +11,6 @@ from zenogeo.geometry import (
     QuadraticFunction,
     differential,
     from_chart,
-    hamiltonian_flow_matrix,
     hamiltonian_vector_field,
     homogeneous_expectation,
     jordan_bracket,
@@ -27,6 +26,13 @@ E1 = np.array([1.0, 0.0], dtype=complex)
 SCALES = [2.0, -1.0, 1.0j, 0.5 + 0.5j]
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def hamiltonian_flow_matrix(H) -> np.ndarray:
+    """Chart matrix of X_{f_H}: the real 2n x 2n generator of zdot = -iHz,
+    the block form [[Hi, Hr], [-Hr, Hi]] of H = Hr + i Hi."""
+    H = np.asarray(H, dtype=complex)
+    return np.block([[H.imag, H.real], [-H.real, H.imag]])
 
 
 def fd_differential(f: QuadraticFunction, psi: np.ndarray, step: float = 1e-5):

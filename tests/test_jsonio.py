@@ -110,10 +110,25 @@ def decoder(request, monkeypatch):
     return request.param
 
 
+def outcome(load):
+    """What load() gives: the shape and bytes of its array, or the message
+    of its ValueError."""
+    try:
+        z = load()
+    except ValueError as exc:
+        return str(exc)
+    return z.shape, z.tobytes()
+
+
 def assert_loads_as_json_does(path):
-    """load_state gives, bit for bit, what state_from_dict of json.loads gives."""
-    got, want = jsonio.load_state(path), jsonio.state_from_dict(json.loads(path.read_text()))
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    """load_state and load_matrix give, bit for bit, what state_from_dict and
+    matrix_from_dict give for json.loads of the file's text, or raise a
+    ValueError with the same message; returns load_state's outcome."""
+    text = path.read_text()
+    got = outcome(lambda: jsonio.load_state(path))
+    assert got == outcome(lambda: jsonio.state_from_dict(json.loads(text)))
+    assert outcome(lambda: jsonio.load_matrix(path)) == outcome(lambda: jsonio.matrix_from_dict(json.loads(text)))
+    return got
 
 
 class TestDecoders:
@@ -122,7 +137,7 @@ class TestDecoders:
     def test_saved_state_loads_as_json_reads_it(self, decoder, tmp_path_factory, pairs):
         path = tmp_path_factory.mktemp("round-trip") / "psi.json"
         jsonio.save_state(path, np.array([complex(q, p) for q, p in pairs]))
-        assert_loads_as_json_does(path)
+        assert not isinstance(assert_loads_as_json_does(path), str)
 
     # Subnormal, halfway, extreme and long-mantissa numbers, integers past
     # 64 bits, and what only json reads.
@@ -138,7 +153,7 @@ class TestDecoders:
     def test_number_reads_as_json_reads_it(self, decoder, number, tmp_path):
         path = tmp_path / "psi.json"
         path.write_text('{"dim": 1, "re": [%s], "im": [0]}' % number)
-        assert_loads_as_json_does(path)
+        assert not isinstance(assert_loads_as_json_does(path), str)
 
     def test_negative_zero_keeps_its_sign(self, decoder, tmp_path):
         path = tmp_path / "psi.json"
@@ -179,6 +194,119 @@ class TestDecoders:
             jsonio.load_state(path)
         with pytest.raises(ValueError):
             jsonio.load_matrix(path)
+
+
+PLAIN = {"dim": 2, "re": [1.5, -0.0], "im": [0, 2e-3]}
+KEY_ORDERS = [("dim", "re", "im"), ("dim", "im", "re"), ("re", "dim", "im"),
+              ("re", "im", "dim"), ("im", "dim", "re"), ("im", "re", "dim")]
+#: Texts that load, with whether their skeleton is plain: indent and CRLF
+#: layouts are, extra keys and NaN or Infinity entries are not.
+LOADING = {
+    **{"order-" + "-".join(keys): (json.dumps({k: PLAIN[k] for k in keys}), True) for keys in KEY_ORDERS},
+    "indent-2": (json.dumps(PLAIN, indent=2), True),
+    "crlf": (json.dumps(PLAIN, indent=2).replace("\n", "\r\n"), True),
+    "compact": (json.dumps(PLAIN, separators=(",", ":")), True),
+    "extra-key": (json.dumps({**PLAIN, "note": "x"}), False),
+    "extra-number-key": (json.dumps({**PLAIN, "t": 1}), False),
+    "extra-list-key": (json.dumps({**PLAIN, "x": [True, None]}), False),
+    "nan-entry": ('{"dim": 2, "re": [NaN, 0], "im": [0, 0]}', False),
+    "infinity-entries": ('{"dim": 2, "re": [Infinity, 0], "im": [0, -Infinity]}', False),
+}
+#: Texts that fail, with what their message holds and whether their
+#: skeleton is plain: "ree" loses its two e's, and the file its "re" key.
+FAILING = {
+    "string-entry": ('{"dim": 2, "re": ["1", 0], "im": [0, 0]}', "JSON numbers", False),
+    "string-e-entry": ('{"dim": 2, "re": ["e", 0], "im": [0, 0]}', "JSON numbers", False),
+    "true-entry": ('{"dim": 2, "re": [1, 0], "im": [0, true]}', "JSON numbers", False),
+    "false-entry": ('{"dim": 2, "re": [false, 0], "im": [0, 0]}', "JSON numbers", False),
+    "null-entry": ('{"dim": 2, "re": [null, 0], "im": [0, 0]}', "JSON numbers", False),
+    "nested-entry": ('{"dim": 2, "re": [[1], 0], "im": [0, 0]}', "JSON numbers", False),
+    "object-entry": ('{"dim": 2, "re": [{}, 0], "im": [0, 0]}', "JSON numbers", False),
+    "re-not-a-list": ('{"dim": 1, "re": 1, "im": [0], "x": []}', "malformed", False),
+    "key-re-spelled-ree": ('{"dim": 2, "ree": [1, 0], "im": [0, 0]}', "malformed", True),
+    "bom": ("\ufeff" + json.dumps(PLAIN), "BOM", False),
+}
+
+
+class TestSkeleton:
+    """A file whose skeleton is plain skips the per-entry type scan; every
+    file loads, or fails, as json.loads and the dict functions have it."""
+
+    @pytest.mark.parametrize("text,plain", LOADING.values(), ids=LOADING)
+    def test_layout_loads_as_json_reads_it(self, decoder, text, plain, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_bytes(text.encode())
+        got = assert_loads_as_json_does(path)
+        assert not isinstance(got, str), got
+        assert jsonio._scan(path.read_text()) == (text.count("[") + text.count("{"), plain)
+
+    @pytest.mark.parametrize("text,match,plain", FAILING.values(), ids=FAILING)
+    def test_bad_file_fails_as_json_reads_it(self, decoder, text, match, plain, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=match):
+            jsonio.load_state(path)
+        assert_loads_as_json_does(path)
+        assert jsonio._scan(path.read_text())[1] is plain
+
+    # Where "true" starts, against the scan's chunk boundaries: astride the
+    # first, just before and after it, and astride the second; the file is
+    # past 64 KiB.
+    @pytest.mark.parametrize("offset", [-2, -5, 0, 1, jsonio._SCAN_CHUNK - 2])
+    def test_true_entry_near_a_chunk_boundary(self, decoder, offset, tmp_path):
+        start = jsonio._SCAN_CHUNK + offset
+        head = '{"re": ['
+        fill = start - len(head)
+        body = "1," * (fill // 2) + " " * (fill % 2)
+        entries = fill // 2 + 1 + 20000
+        tail = "," + ",".join(["1"] * 20000) + '], "im": [%s], "dim": %d}' % (",".join(["0"] * entries), entries)
+        path = tmp_path / "psi.json"
+        for entry, plain in [("true", False), ("1   ", True)]:
+            text = head + body + entry + tail
+            assert text.index(entry) == start and len(text) > 65536
+            path.write_text(text)
+            assert jsonio._scan(text)[1] is plain
+            got = assert_loads_as_json_does(path)
+            if plain:
+                assert got[0] == (entries,)
+            else:
+                assert got == "re and im entries must be JSON numbers"
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_formatting_loads_as_json_reads_it(self, decoder, tmp_path_factory, data):
+        numbers = finite | st.integers(-(2**63), 2**63) | st.sampled_from([math.nan, math.inf, -math.inf])
+        others = (st.text(st.characters(blacklist_categories=("Cs",)), max_size=3) | st.booleans()
+                  | st.none() | st.lists(finite, max_size=2) | st.dictionaries(st.text(max_size=2), finite, max_size=1))
+        entries = st.lists(numbers, max_size=6) | st.lists(numbers | others, max_size=6) | numbers | others
+        def fault(odds=4):
+            return data.draw(st.integers(0, odds - 1)) == 0
+
+        # A well-formed payload, then each fault in one draw out of four.
+        size = data.draw(st.integers(1, 4))
+        parts = {key: data.draw(st.lists(numbers, min_size=size, max_size=size)) for key in ("re", "im")}
+        parts["dim"] = size
+        for key in ("re", "im"):
+            if fault():
+                parts[key] = data.draw(entries)
+        if fault():
+            parts["dim"] = data.draw(st.integers(-1, 5) | st.booleans() | finite | st.none())
+        keys = data.draw(st.permutations(["dim", "re", "im"]))
+        if fault():
+            keys.insert(data.draw(st.integers(0, 3)), "x")
+            parts["x"] = data.draw(numbers | others)
+        if fault(8):
+            keys.remove(data.draw(st.sampled_from(keys)))
+        text = json.dumps(
+            {key: parts[key] for key in keys},
+            indent=data.draw(st.sampled_from([None, 0, 2, "\t"])),
+            separators=data.draw(st.sampled_from([None, (",", ":"), (" ,\n", " :  ")])),
+            ensure_ascii=data.draw(st.booleans()),
+        )
+        text = text.replace("\n", data.draw(st.sampled_from(["\n", "\r\n"])))
+        path = tmp_path_factory.mktemp("formatted") / "psi.json"
+        path.write_bytes(text.encode())
+        assert_loads_as_json_does(path)
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:

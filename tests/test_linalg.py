@@ -337,6 +337,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="scale"):
             linalg.require_hermitian(1e150 * SIGMA_X)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize(
+        "entry", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, math.nan)]
+    )
+    def test_non_finite_entry_outranks_scale_and_hermiticity(self, entry, where):
+        # With a part past the scale bound and an asymmetric pair beside it,
+        # a nan or infinite part, before or after the largest, is what is named.
+        A = np.array([[3.0, 1e300], [1.0, 0.0]], dtype=complex)
+        A[where] = entry
+        with pytest.raises(ValueError, match="^operator contains non-finite entries$"):
+            linalg.require_hermitian(A)
+        with pytest.raises(ValueError, match="square"):
+            linalg.require_hermitian(np.full((2, 3), entry))
+
     def test_projector_validation(self):
         linalg.require_projector(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="idempotent"):
