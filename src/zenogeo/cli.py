@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -60,10 +61,11 @@ def _write_text(args, text: str) -> None:
 
 
 def _render_csv(header: list[str], rows: list[list[float]], trailer: list[str]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    lines += [f"# {t}" for t in trailer]
-    return "\n".join(lines) + "\n"
+    # One % format for the whole table: "%.17g" % v is the text of _fmt(v)
+    # for every double and int.
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    body = row * len(rows) % tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + body + "".join(f"# {t}\n" for t in trailer)
 
 
 def _render_json(payload) -> str:

@@ -72,6 +72,9 @@ def _parts(payload: dict, plain: bool = False) -> tuple[int, np.ndarray]:
     decoded from text with a plain skeleton, so re and im hold numbers."""
     try:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
+        # A string would reach numpy, a dict be scanned by its keys.
+        if type(re) is not list or type(im) is not list:
+            raise TypeError("re and im must be flat lists of equal length")
         # Entry types, not isinstance: true is an int and not a number, and
         # numpy would read "1" as 1.0 and null as nan.
         if not plain and not set(map(type, re)) | set(map(type, im)) <= {int, float}:

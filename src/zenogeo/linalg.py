@@ -86,7 +86,7 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"operator must be a square matrix, got shape {out.shape}")
     # Parts, not |A_ij|, which can overflow; |A_ij| <= sqrt(2) max part.
     # The max propagates nan, so a finite peak means finite entries.
-    peak = float(np.max(np.abs(out.view(np.float64)), initial=0.0))
+    peak = float(abs(out.view(np.float64)).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValueError("operator contains non-finite entries")
     scale = out.shape[0] * peak
@@ -94,7 +94,7 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(
             f"operator scale n max|Re, Im A_ij| = {scale:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"
         )
-    dev = np.max(np.abs(out - out.conj().T))
+    dev = abs(out - out.conj().T).max()
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return out
@@ -117,7 +117,7 @@ def _require_finite_phases(E: np.ndarray, t) -> None:
     """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
     Python floats, where an overflow gives inf and no warning.  The one
     time check: a nan or infinite t fails even at E = 0, as 0 * inf is nan."""
-    phase = float(np.max(np.abs(E), initial=0.0)) * float(np.max(np.abs(t), initial=0.0))
+    phase = float(abs(E).max(initial=0.0)) * float(np.abs(t).max(initial=0.0))
     if not math.isfinite(phase):
         raise ValueError(f"phase max|E| max|t| = {phase!r} is not finite")
 
@@ -127,6 +127,18 @@ def _propagator(E: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     H, or Q^dagger exp(-i H t) Q for V = Q^dagger V.  The one propagator."""
     _require_finite_phases(E, t)
     return (V * np.exp(-1j * E * t)) @ V.conj().T
+
+
+def _hermitian_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part (A + A^dagger)/2 of a compression A.
+
+    A 1 x 1 A is its own eigenpair: the eigenvalue Re A and the eigenvector
+    1, the bits that LAPACK's zheevd returns for N = 1, here without the
+    call.  Below OPERATOR_SCALE_MAX, (a + conj a)/2 is Re a exactly.
+    """
+    if A.shape == (1, 1):
+        return A.real[0].copy(), np.array([[1 + 0j]])
+    return np.linalg.eigh(0.5 * (A + A.conj().T))
 
 
 def expm_antihermitian(H, t: float) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 from .linalg import (
     NORM_SQ_FLOOR,
     VARIANCE_FLOOR,
+    _hermitian_eigh,
     _propagator,
     as_state,
     norm_sq,
@@ -177,12 +178,13 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
     phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H,
-    and its 1 x 1 compression onto e1, the basis of range PROJECTOR_UP.
+    and its 1 x 1 compression onto e1, the basis of range PROJECTOR_UP,
+    which is its own eigenpair (see linalg._hermitian_eigh): no eigh.
     """
     H = require_hermitian(hq.matrix())
     e1 = PROJECTOR_UP[:, :1]
     A = e1.conj().T @ H @ e1
-    amp = complex(_propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))[0, 0])
+    amp = complex(_propagator(*_hermitian_eigh(A), float(t))[0, 0])
     return abs(amp) ** 2, amp
 
 

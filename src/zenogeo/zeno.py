@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PROJECTOR_TOL, _propagator, as_state, require_hermitian, require_projector
+from .linalg import (
+    PROJECTOR_TOL,
+    _hermitian_eigh,
+    _propagator,
+    as_state,
+    require_hermitian,
+    require_projector,
+)
 
 #: Scan errors below this are reported as exactly converged ("exact").
 EXACT_TOL = 1e-12
@@ -168,7 +175,7 @@ def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
     Unitary on the measured subspace, zero on its complement.
     """
     Q, _, A = _compression(require_hermitian(H), require_projector(P))
-    a, Z = np.linalg.eigh(0.5 * (A + A.conj().T))
+    a, Z = _hermitian_eigh(A)
     return _propagator(a, Q @ Z, float(t))
 
 
@@ -178,7 +185,9 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     Reports the operator (spectral) norm, the topology in which the limit
     statement is checked, plus the Frobenius norm for debugging.  Both are
     taken in the measured subspace, on S_N^N - exp(-i Q^dagger H Q t): the
-    isometry Q leaves either norm of V_N - exp(-i PHP t) P unchanged.
+    isometry Q leaves either norm of V_N - exp(-i PHP t) P unchanged.  The
+    limit comes from the eigenpairs of the r x r compression, in closed
+    form at rank one (see linalg._hermitian_eigh).
     """
     Ns = [int(N) for N in N_values]
     if not Ns:
@@ -186,7 +195,7 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     if any(N < 1 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending positive integers")
     A = setup.compression
-    UZ = _propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))
+    UZ = _propagator(*_hermitian_eigh(A), float(t))
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ

@@ -586,6 +586,43 @@ def test_cli_reads_no_private_library_name():
     assert used <= allowed, used - allowed
 
 
+def per_cell_csv(header, rows, trailer):
+    """The table rendered one cell at a time: the oracle of _render_csv."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    lines += [f"# {t}" for t in trailer]
+    return "\n".join(lines) + "\n"
+
+
+#: Doubles from random bit patterns, with the special values and
+#: subnormals, and ints up to 2**63: what tables hold.
+csv_values = (
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308])
+    | st.integers(-(2**63), 2**63)
+    | st.floats(width=64).map(np.float64)
+)
+
+
+class TestRenderCsv:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.tuples(
+                st.lists(st.text("abc_", min_size=1, max_size=4), min_size=width, max_size=width),
+                st.lists(st.lists(csv_values, min_size=width, max_size=width), max_size=6),
+            )
+        ),
+        st.lists(st.text(max_size=12), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_format_is_the_per_cell_format(self, table, trailer):
+        header, rows = table
+        assert cli._render_csv(header, rows, trailer) == per_cell_csv(header, rows, trailer)
+
+    def test_no_rows(self):
+        assert cli._render_csv(["a", "b"], [], ["slope exact"]) == "a,b\n# slope exact\n"
+
+
 class TestParserReuse:
     def test_one_parser_tree_per_process(self, monkeypatch, capsys):
         built = []
@@ -807,7 +844,7 @@ random_specs = st.integers(-2, 4).map("random:{}".format) | st.sampled_from(["ra
 BAD_JSON_FILES = [
     "@dim_overflow", "@dim_infinity", "@dim_fraction", "@huge_entry",
     "@string_entry", "@bool_entry", "@null_entry", "@nested_entry", "@deep_nesting",
-    "@ragged_parts", "@dim3_state", "@dim3_non_hermitian", "@bom",
+    "@ragged_parts", "@string_parts", "@dict_part", "@dim3_state", "@dim3_non_hermitian", "@bom",
 ]
 hamiltonian_specs = (
     st.sampled_from(["sigma_x", "sigma_y", "sigma_z"]) | four_numbers.map("qubit:{}".format) | random_specs
@@ -864,6 +901,10 @@ def spec_files(tmp_path_factory):
         # Past json's recursion limit.
         "@deep_nesting": "[" * 5000 + "]" * 5000,
         "@ragged_parts": '{"dim": 2, "re": [1, 0], "im": [0]}',
+        # Parts that are not lists: strings, which numpy would read, and a
+        # dict, whose keys the entry scan would see.
+        "@string_parts": '{"dim": 2, "re": "", "im": ""}',
+        "@dict_part": '{"dim": 1, "re": {"a": 1}, "im": [0]}',
         # Of dimension 3, against the 2 of sigma_x: a state, and a matrix
         # that is neither a Hamiltonian nor a projector.
         "@dim3_state": jsonio.state_to_dict(np.ones(3)),
@@ -918,6 +959,14 @@ class TestSpecFuzz:
     )
     def test_bad_json_file_names_its_flag(self, argv, flag, name, spec_files, capsys):
         assert_clean_usage_error([spec_files[name] if a == "@" else a for a in argv], flag, capsys)
+
+    @pytest.mark.parametrize("name", ["@string_parts", "@dict_part"])
+    def test_part_that_is_not_a_list_is_named(self, name, spec_files, capsys):
+        # The field's own message, not numpy's or the entry scan's.
+        code, _, err = run_clean(["zeno-time", "--hamiltonian", "sigma_x", "--state", spec_files[name]], capsys)
+        assert code == 2
+        assert "--state" in charged_field(err)
+        assert "re and im must be flat lists of equal length" in err
 
     @given(argv=SPEC_ARGVS)
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

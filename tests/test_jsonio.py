@@ -249,6 +249,23 @@ class TestSkeleton:
         assert_loads_as_json_does(path)
         assert jsonio._scan(path.read_text())[1] is plain
 
+    # A string would reach numpy, whose message names no field, and a dict
+    # would be scanned by its keys; either part may be the one that is not
+    # a list.
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", ["", "12", 5, {"a": 1}], ids=["empty-string", "digit-string", "number", "dict"])
+    def test_part_that_is_not_a_list_is_malformed(self, decoder, part, value, tmp_path):
+        payload = {"dim": 1, "re": [0], "im": [0], part: value}
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed field: re and im must be flat lists"):
+            jsonio.load_state(path)
+        assert_loads_as_json_does(path)
+        # Two non-lists of one length fail alike.
+        path.write_text(json.dumps({"dim": 2, "re": value, "im": value}))
+        with pytest.raises(ValueError, match="malformed field: re and im must be flat lists"):
+            jsonio.load_matrix(path)
+
     # Where "true" starts, against the scan's chunk boundaries: astride the
     # first, just before and after it, and astride the second; the file is
     # past 64 KiB.

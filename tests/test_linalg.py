@@ -367,6 +367,41 @@ class TestValidation:
         assert 0.0 <= p <= 1.0
 
 
+#: Parts of a 1 x 1 compression: signed zeros, subnormals, the scale
+#: bound's neighbourhood and any double in between.
+one_by_one_parts = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e149, -1e149, 1e150]
+) | st.floats(-1e150, 1e150)
+#: Imaginary parts of a computed compression of a Hermitian matrix:
+#: roundoff-sized, zeros of either sign, and any double up to the bound.
+small_imaginary_parts = st.sampled_from([0.0, -0.0, 5e-324, -1e-300]) | st.floats(-1e-12, 1e-12) | st.floats(-1e150, 1e150)
+
+
+def eigh_bits(pair):
+    E, V = (np.asarray(x) for x in pair)
+    return E.shape, E.dtype, E.view(np.uint64).tolist(), V.shape, V.dtype, V.view(np.uint64).tolist()
+
+
+class TestHermitianEigh:
+    @given(one_by_one_parts, small_imaginary_parts)
+    @settings(max_examples=300, deadline=None)
+    def test_1x1_closed_form_has_eighs_bits(self, re, im):
+        A = np.array([[complex(re, im)]])
+        assert eigh_bits(linalg._hermitian_eigh(A)) == eigh_bits(np.linalg.eigh(0.5 * (A + A.conj().T)))
+
+    def test_1x1_calls_no_eigh(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        E, V = linalg._hermitian_eigh(np.array([[complex(-0.0, 1e-17)]]))
+        assert E.view(np.uint64).tolist() == np.array([-0.0]).view(np.uint64).tolist()
+        assert V.tolist() == [[1 + 0j]]
+
+    def test_1x1_eigenvalue_is_its_own_array(self):
+        A = np.array([[2.0 + 0j]])
+        E, _ = linalg._hermitian_eigh(A)
+        E[0] = 5.0
+        assert A[0, 0] == 2.0
+
+
 class TestStacks:
     """expectation_value and norm_sq act along the last axis over any
     leading axes, and each row of a stack gets the bits of its 1-D call."""

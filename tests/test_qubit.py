@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 import math
 import pathlib
 
@@ -306,11 +307,37 @@ class TestFrozenState:
         assert len(checked) == 1
 
     def test_diagonalizes_the_1x1_compression(self, monkeypatch):
+        # In closed form: the rank-one compression is its own eigenpair, with
+        # the bits eigh gives it, and no eigh is called.
+        hq = QubitHamiltonian(0.2, 0.5, -0.3, 1.0)
+        expected = eigh_frozen_state_check(hq, 2.0)
         sizes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape) or eigh(a))
-        frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
-        assert sizes == [(1, 1)]
+        assert repr(frozen_state_check(hq, 2.0)) == repr(expected)
+        assert sizes == []
+
+    def test_bits_of_the_eigh_formula_on_a_grid(self):
+        # Signed zeros, units and a tiny rate at signed zero, unit and long
+        # times: the closed form keeps every bit, signs of zeros included.
+        for h0, hz, t in itertools.product(GRID_FIELD, GRID_FIELD, GRID_TIME):
+            for hx, hy in [(0.0, 0.0), (0.5, -0.3)]:
+                hq = QubitHamiltonian(h0, hx, hy, hz)
+                assert repr(frozen_state_check(hq, t)) == repr(eigh_frozen_state_check(hq, t)), (hq, t)
+
+
+GRID_FIELD = [0.0, -0.0, 1.0, -1.0, 1e-300]
+GRID_TIME = [0.0, -0.0, 1.0, 1e5]
+
+
+def eigh_frozen_state_check(hq, t):
+    """frozen_state_check as it was with an eigh of the 1 x 1 compression:
+    the oracle of its closed form."""
+    H = hq.matrix()
+    e1 = PROJECTOR_UP[:, :1]
+    A = e1.conj().T @ H @ e1
+    amp = complex(linalg._propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))[0, 0])
+    return abs(amp) ** 2, amp
 
 
 def test_qubit_imports_nothing_from_zeno():
