@@ -449,9 +449,10 @@ def handle_freeze(args) -> int:
 # parser
 
 
-# Built on the first call and shared after: parse_args leaves the parser
+# Built on the first call and shared after: parsing leaves the parsers
 # unchanged and returns a fresh Namespace, so every call of main in one
-# process parses with this one parser.
+# process parses with this one tree.  Its commands attribute maps each
+# command name to that command's parser, which main hands the flags to.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -512,13 +513,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=handle_freeze)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    # The root parser would only pass argv[1:] on to the command's parser.
+    # It runs when argv names no command, and again when the command's
+    # parser leaves tokens over, to fail as it always has: with its usage
+    # line and "unrecognized arguments".
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:
+            args, extra = command.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if command is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
     try:

@@ -2,7 +2,10 @@ import argparse
 import ast
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -640,6 +643,106 @@ class TestParserReuse:
         # One root parser and six sub-parsers; a tree per call would be 21.
         assert len(built) == 7
         assert cli.build_parser() is cli.build_parser()
+
+
+def nested_main(argv):
+    """The nested dispatch, the oracle of main's: the root parser parses the
+    whole argv, and its subparsers action passes the rest on to the
+    command's parser; errors are reported as main reports them."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.handler(args)
+    except cli.CliInputError as exc:
+        print(f"error: {exc.field}: {exc.message}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+# Tokens of the dispatch property: every flag of every command, in both the
+# "--f v" and the "--f=v" form, abbreviations (--h is ambiguous in every
+# command but brackets), and values kept tiny, so that a run that parses
+# stays cheap.
+DISPATCH_COMMANDS = ["survival", "zeno-time", "converge", "flow", "brackets", "freeze", "bogus"]
+DISPATCH_FLAGS = [
+    "--format", "--out", "--seed", "--h0", "--hx", "--hy", "--hz", "--hamiltonian", "--state",
+    "--t-max", "--samples", "--projector", "--t", "--n-max", "--start", "--n", "--trials", "--help",
+]
+DISPATCH_VALUES = ["1", "2", "8", "-1", "inf", "nan", "csv", "json", "sigma_x", "e1", "equator", "x"]
+DISPATCH_LOOSE = ["--he", "--h", "--form", "--sam", "-h", "--", "-", "=", "-1", "inf", "nan", "x", "e1"]
+dispatch_items = st.one_of(
+    st.builds(lambda f, v: [f, v], st.sampled_from(DISPATCH_FLAGS), st.sampled_from(DISPATCH_VALUES)),
+    st.builds("{}={}".format, st.sampled_from(DISPATCH_FLAGS), st.sampled_from(DISPATCH_VALUES)).map(
+        lambda tok: [tok]
+    ),
+    st.sampled_from(DISPATCH_COMMANDS + DISPATCH_LOOSE).map(lambda tok: [tok]),
+)
+DISPATCH_ARGVS = st.builds(
+    lambda head, items: head + [tok for item in items for tok in item],
+    st.sampled_from(DISPATCH_COMMANDS).map(lambda c: [c]) | st.just([]),
+    st.lists(dispatch_items, max_size=6),
+)
+
+
+class TestDispatch:
+    @pytest.fixture(autouse=True)
+    def in_temporary_folder(self, tmp_path, monkeypatch):
+        # A drawn --out writes its file here; a fixed width keeps help text
+        # independent of the terminal.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def assert_as_nested(self, argv, capsys):
+        got = run_cli(argv, capsys)
+        want = (nested_main(argv), *capsys.readouterr())
+        assert got == want
+        return got
+
+    @given(argv=DISPATCH_ARGVS)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_argv_as_nested(self, argv, capsys):
+        self.assert_as_nested(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,code,out_start,err_start,err_end",
+        [
+            ([], 2, "", "usage: zenogeo [-h]", "zenogeo: error: the following arguments are required: command\n"),
+            (["freeze"], 2, "", "usage: zenogeo freeze [-h]", "error: the following arguments are required: --t\n"),
+            # Left over by freeze's parser, refused by the root's.
+            (["freeze", "--t", "1", "x"], 2, "", "usage: zenogeo [-h]", "zenogeo: error: unrecognized arguments: x\n"),
+            (["freeze", "--t", "1", "--bogus"], 2, "", "usage: zenogeo [-h]",
+             "zenogeo: error: unrecognized arguments: --bogus\n"),
+            (["freeze", "-h"], 0, "usage: zenogeo freeze [-h]", "", ""),
+            (["--he"], 0, "usage: zenogeo [-h]", "", ""),
+        ],
+    )
+    def test_hand_picked_argv_as_nested(self, argv, code, out_start, err_start, err_end, capsys):
+        got_code, out, err = self.assert_as_nested(argv, capsys)
+        assert got_code == code
+        assert out.startswith(out_start)
+        assert err.startswith(err_start) and err.endswith(err_end)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["freeze", "--hz", "1", "--t", "2"], 0), (["freeze", "--t", "inf"], 2), (["--help"], 0), (["bogus"], 2)],
+    )
+    def test_sys_argv_as_in_process(self, argv, code, capsys):
+        """python -m zenogeo.cli reads its argv from sys.argv and prints what
+        main(argv) prints in process."""
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zenogeo.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+        got_code, out, err = run_cli(argv, capsys)
+        assert proc.returncode == got_code == code
+        assert proc.stdout == out.encode()
+        assert proc.stderr == err.encode()
+        assert b"Traceback" not in proc.stderr
 
 
 NUMERIC_BASE = {

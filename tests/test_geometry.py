@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_state, scaled_taylor_expm
+from conftest import random_hermitian, random_rank_projector, random_state, scaled_taylor_expm
 from zenogeo import geometry, linalg
 from zenogeo.geometry import (
     QuadraticFunction,
@@ -28,11 +28,17 @@ SCALES = [2.0, -1.0, 1.0j, 0.5 + 0.5j]
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def chart_matrix(M) -> np.ndarray:
+    """Chart image of the complex-linear map M = Mr + i Mi: the real
+    2n x 2n [[Mr, -Mi], [Mi, Mr]], with to_chart(M z) = chart_matrix(M) @ to_chart(z)."""
+    M = np.asarray(M, dtype=complex)
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
 def hamiltonian_flow_matrix(H) -> np.ndarray:
     """Chart matrix of X_{f_H}: the real 2n x 2n generator of zdot = -iHz,
     the block form [[Hi, Hr], [-Hr, Hi]] of H = Hr + i Hi."""
-    H = np.asarray(H, dtype=complex)
-    return np.block([[H.imag, H.real], [-H.real, H.imag]])
+    return chart_matrix(-1j * np.asarray(H, dtype=complex))
 
 
 def fd_differential(f: QuadraticFunction, psi: np.ndarray, step: float = 1e-5):
@@ -387,6 +393,42 @@ class TestHamiltonianVectorField:
             got = from_chart(flow @ to_chart(psi))
             want = linalg.evolve(psi, H, 1.0)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+#: (n, rank, seed) with rank <= n <= 8.
+measured_draws = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1))
+)
+
+
+class TestMeasuredSplit:
+    """The paper's second claim at any n: at psi in range P, the chart image
+    of P maps X_{f_H} to X_{f_PHP}, the field of the Zeno generator; for
+    rank-one P the rest, the chart image of -i(I - P)H psi, has squared
+    length Var(H) = 1/tau_Z^2."""
+
+    @given(measured_draws)
+    @settings(max_examples=60, deadline=None)
+    def test_tangent_part_is_the_zeno_generator_field(self, draw):
+        n, rank, seed = draw
+        rng = np.random.default_rng(seed)
+        H, P = random_hermitian(rng, n), random_rank_projector(rng, n, rank)
+        psi = P @ random_state(rng, n)
+        PHP = P @ H @ P
+        tangent = chart_matrix(P) @ hamiltonian_vector_field(QuadraticFunction(H), psi)
+        want = hamiltonian_vector_field(QuadraticFunction(0.5 * (PHP + PHP.conj().T)), psi)
+        assert np.max(np.abs(tangent - want)) <= 1e-12
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_normal_length_is_the_variance(self, n, seed):
+        rng = np.random.default_rng(seed)
+        H, P = random_hermitian(rng, n), random_rank_projector(rng, n, 1)
+        psi = linalg.normalize(P @ random_state(rng, n))
+        field = hamiltonian_vector_field(QuadraticFunction(H), psi)
+        normal = field - chart_matrix(P) @ field
+        assert np.max(np.abs(normal - to_chart(-1j * ((np.eye(n) - P) @ H @ psi)))) <= 1e-12
+        assert abs(normal @ normal - linalg.variance(H, psi)) <= 1e-12
 
 
 class TestProjectiveLayer:
