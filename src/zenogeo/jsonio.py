@@ -1,23 +1,20 @@
 """JSON interchange for states and matrices.
 
 The on-disk form is ``{"dim": n, "re": [...], "im": [...]}`` with row-major
-real and imaginary parts: length n for a state, n*n for a matrix.
+real and imaginary parts: length n for a state, n*n for a matrix.  A file
+is read as its UTF-8 bytes, whatever the locale.
 
-Loads decode with orjson when it is installed: it reads every number to
-the same double as json, bit for bit, about seven times as fast.  What
-orjson refuses (NaN, Infinity, numbers past the double range, lone
-surrogates) is decoded by json, and so is text with more brackets than
-_FAST_BRACKETS.  So a file gives the same arrays, or fails with
-ValueError, with or without orjson.  Only one message differs: orjson
-reads an integer past 64 bits as a float, so such a ``dim`` fails the
-integer check rather than the size check.
-
-Before it decodes, a load deletes every byte a JSON number or a separator
-can hold, in one C-level pass over chunks of the text.  The rest is the
-file's skeleton, ``{"dim""r"[]"im"[]}`` for a plain file, whose brackets
-are the orjson guard.  When the skeleton is that plain form, in any key
-order, every re and im entry is a JSON number, and the per-entry type
-scan of the decoded lists is skipped; any other file gets the scan.
+A load first deletes, chunk by chunk, every byte a JSON number or a
+separator can hold.  What is left of a plain file is its skeleton
+``{"dim""r"[]"im"[]}``, in any key order: its re and im hold only numbers,
+so their entries are not type-checked one by one, and its three brackets
+keep nesting away from orjson, which overflows its C stack on deep input.
+orjson, when installed, decodes plain files only, to json's doubles bit
+for bit; json decodes every other file and what orjson refuses.  A file
+gives the same arrays, or fails with ValueError, with or without orjson.
+Only one message differs: orjson reads an integer past 64 bits as a
+float, so such a ``dim`` in a plain file fails the integer check rather
+than the size check.
 """
 from __future__ import annotations
 
@@ -26,12 +23,6 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-
-#: Most brackets ("[" and "{") in text that orjson decodes, which bounds
-#: the nesting: orjson has no depth limit and overflows the C stack on
-#: deep input (3.8.3 crashed at 100 000 levels).  A state or matrix file
-#: has three.
-_FAST_BRACKETS = 1000
 
 #: The bytes of JSON numbers, separators and whitespace.  A value made of
 #: these alone is a number: a string, a list and true, false or null keep
@@ -45,10 +36,10 @@ _PLAIN_SKELETONS = frozenset(
 )
 _PLAIN_SIZE = len(b'{"dim""r"[]"im"[]}')
 
-#: Characters of text encoded and scanned at a time.  Each chunk makes
-#: three temporaries of its size; at 16 KiB they leave the peak memory of
-#: a process that loads many files flat, where 64 KiB chunks raised it by
-#: 0.7%, and the scan takes as long.
+#: Bytes scanned at a time.  Each chunk makes two temporaries of its size:
+#: at 16 KiB the peak memory of a process that loads many files stays
+#: flat, where one translate of the whole file raised the zeno-ladder
+#: benchmark's peak RSS by 5.7%, and the scan is nearly as fast.
 _SCAN_CHUNK = 1 << 14
 
 
@@ -119,28 +110,26 @@ def _matrix(dim: int, z: np.ndarray) -> np.ndarray:
 
 
 def save_state(path, psi) -> None:
-    Path(path).write_text(json.dumps(state_to_dict(psi)))
+    Path(path).write_text(json.dumps(state_to_dict(psi)), encoding="utf-8")
 
 
-def _scan(text: str) -> tuple[int, bool]:
-    """The brackets ("[" and "{") in text, and whether its skeleton is plain."""
-    brackets, skeleton = 0, b""
-    for start in range(0, len(text), _SCAN_CHUNK):
-        rest = text[start:start + _SCAN_CHUNK].encode("utf-8", "surrogatepass")
-        rest = rest.translate(None, _NUMBER_BYTES)
-        brackets += rest.count(b"[") + rest.count(b"{")
-        # A skeleton longer than a plain one is not plain: keep no more.
-        if len(skeleton) <= _PLAIN_SIZE:
-            skeleton += rest
-    return brackets, skeleton in _PLAIN_SKELETONS
+def _plain(data: bytes) -> bool:
+    """Whether the skeleton of data is plain (see the module's docstring)."""
+    skeleton = b""
+    for start in range(0, len(data), _SCAN_CHUNK):
+        skeleton += data[start:start + _SCAN_CHUNK].translate(None, _NUMBER_BYTES)
+        if len(skeleton) > _PLAIN_SIZE:
+            return False
+    return skeleton in _PLAIN_SKELETONS
 
 
-def _loads(text: str) -> tuple[object, bool]:
-    """json.loads(text), through orjson when it is installed and accepts
-    text, and whether the text's skeleton is plain (see the module's
-    docstring): then a decoded dict's re and im hold only numbers."""
-    brackets, plain = _scan(text)
-    if brackets <= _FAST_BRACKETS:
+def _loads(path) -> tuple[object, bool]:
+    """json.loads of the file's UTF-8 text, through orjson when it is
+    installed and the file is plain (see the module's docstring), and
+    whether it is plain: then a decoded dict's re and im hold only numbers."""
+    data = Path(path).read_bytes()
+    plain = _plain(data)
+    if plain:
         try:
             # Here, not at the top: importing zenogeo does not load orjson.
             from orjson import JSONDecodeError, loads
@@ -148,9 +137,17 @@ def _loads(text: str) -> tuple[object, bool]:
             pass
         else:
             try:
-                return loads(text), plain
+                return loads(data), plain
             except JSONDecodeError:
                 pass
+    # The text read_text(encoding="utf-8") gives, so that json's messages
+    # count the same characters.  The bytes go before json decodes (a 43 MB
+    # file peaked 41 MB higher), and the replaces, ten times as long as the
+    # decode, run only on text with a CR.
+    text = data.decode("utf-8")
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text), plain
     except RecursionError as exc:
@@ -158,12 +155,12 @@ def _loads(text: str) -> tuple[object, bool]:
 
 
 def load_state(path) -> np.ndarray:
-    return _state(*_parts(*_loads(Path(path).read_text())))
+    return _state(*_parts(*_loads(path)))
 
 
 def save_matrix(path, A) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(A)))
+    Path(path).write_text(json.dumps(matrix_to_dict(A)), encoding="utf-8")
 
 
 def load_matrix(path) -> np.ndarray:
-    return _matrix(*_parts(*_loads(Path(path).read_text())))
+    return _matrix(*_parts(*_loads(path)))

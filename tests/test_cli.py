@@ -570,7 +570,7 @@ def test_cli_reads_no_private_library_name():
     matrices that it draws Hermitian by construction, not to outside input.
     """
     allowed = {("geometry", "_differential")}
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:

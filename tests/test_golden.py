@@ -86,14 +86,14 @@ def _compare_text(got: str, want: str) -> None:
 
 
 def test_cases_are_the_readme_examples():
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     examples = {line[len("zenogeo "):] for line in readme.splitlines() if line.startswith("zenogeo ")}
     assert examples == {argv for argv, _ in CASES.values()}
 
 
 def _check_golden(case: str, fmt: str, code: int, out: str) -> None:
     assert code == CASES[case][1]
-    want = (GOLDEN / f"{case}.{fmt}").read_text()
+    want = (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
     if fmt == "json":
         _compare_json(json.loads(out), json.loads(want), "", case)
     else:
@@ -136,7 +136,7 @@ def test_one_parser_serves_any_sequence_of_calls(tmp_path):
             assert code == want_code, argv
             assert out.startswith(want_start) and bool(out) == bool(want_start), argv
         if path.exists():
-            assert json.loads(path.read_text())["rows"][0]["t"] == 2.0
+            assert json.loads(path.read_text(encoding="utf-8"))["rows"][0]["t"] == 2.0
             path.unlink()
         fmt = "json" if k % 2 == 0 else "csv"
         flags = ["--format", "json"] if fmt == "json" else []

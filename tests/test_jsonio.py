@@ -4,6 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -29,7 +31,7 @@ class TestStateRoundTrip:
         path = tmp_path / "state.json"
         jsonio.save_state(path, psi)
         assert np.array_equal(jsonio.load_state(path), psi)
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert set(payload) == {"dim", "re", "im"}
         assert payload["dim"] == 3
 
@@ -124,7 +126,7 @@ def assert_loads_as_json_does(path):
     """load_state and load_matrix give, bit for bit, what state_from_dict and
     matrix_from_dict give for json.loads of the file's text, or raise a
     ValueError with the same message; returns load_state's outcome."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     got = outcome(lambda: jsonio.load_state(path))
     assert got == outcome(lambda: jsonio.state_from_dict(json.loads(text)))
     assert outcome(lambda: jsonio.load_matrix(path)) == outcome(lambda: jsonio.matrix_from_dict(json.loads(text)))
@@ -238,7 +240,7 @@ class TestSkeleton:
         path.write_bytes(text.encode())
         got = assert_loads_as_json_does(path)
         assert not isinstance(got, str), got
-        assert jsonio._scan(path.read_text()) == (text.count("[") + text.count("{"), plain)
+        assert jsonio._plain(path.read_bytes()) is plain
 
     @pytest.mark.parametrize("text,match,plain", FAILING.values(), ids=FAILING)
     def test_bad_file_fails_as_json_reads_it(self, decoder, text, match, plain, tmp_path):
@@ -247,7 +249,7 @@ class TestSkeleton:
         with pytest.raises(ValueError, match=match):
             jsonio.load_state(path)
         assert_loads_as_json_does(path)
-        assert jsonio._scan(path.read_text())[1] is plain
+        assert jsonio._plain(path.read_bytes()) is plain
 
     # A string would reach numpy, whose message names no field, and a dict
     # would be scanned by its keys; either part may be the one that is not
@@ -282,7 +284,7 @@ class TestSkeleton:
             text = head + body + entry + tail
             assert text.index(entry) == start and len(text) > 65536
             path.write_text(text)
-            assert jsonio._scan(text)[1] is plain
+            assert jsonio._plain(text.encode()) is plain
             got = assert_loads_as_json_does(path)
             if plain:
                 assert got[0] == (entries,)
@@ -326,9 +328,60 @@ class TestSkeleton:
         assert_loads_as_json_does(path)
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+@pytest.fixture
+def orjson_calls(monkeypatch):
+    """A recording stand-in for orjson, wrapping the real loads and
+    JSONDecodeError: the list of the data that loads is given."""
+    orjson = pytest.importorskip("orjson")
+    calls = []
+
+    def loads(data):
+        calls.append(data)
+        return orjson.loads(data)
+
+    stand_in = types.ModuleType("orjson")
+    stand_in.loads, stand_in.JSONDecodeError = loads, orjson.JSONDecodeError
+    monkeypatch.setitem(sys.modules, "orjson", stand_in)
+    return calls
+
+
+ROUTED = {**LOADING, **{name: (text, plain) for name, (text, _, plain) in FAILING.items()}}
+
+
+class TestRouting:
+    """orjson decodes plain files and no other."""
+
+    @pytest.mark.parametrize("text,plain", ROUTED.values(), ids=ROUTED)
+    def test_only_a_plain_file_reaches_orjson(self, orjson_calls, text, plain, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_bytes(text.encode())
+        assert_loads_as_json_does(path)
+        assert orjson_calls == ([text.encode()] * 2 if plain else [])
+
+    def test_deep_nesting_never_reaches_orjson(self, orjson_calls, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        with pytest.raises(ValueError, match="JSON nested too deeply"):
+            jsonio.load_state(path)
+        assert orjson_calls == []
+
+    # One translate of the whole file would hold a copy of its size: that
+    # raised the zeno-ladder benchmark's peak RSS by 5.7%.
+    def test_scan_holds_a_few_chunks_of_a_large_file(self):
+        data = json.dumps(jsonio.matrix_to_dict(np.full((300, 300), 1 / 3))).encode()
+        assert len(data) > 1 << 20
+        tracemalloc.start()
+        try:
+            assert jsonio._plain(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * jsonio._SCAN_CHUNK
+
+
+def run_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]), **env)
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
@@ -348,3 +401,29 @@ def test_deep_nesting_is_a_value_error_not_a_crash(tmp_path):
     proc = run_python("import sys; from zenogeo import jsonio; jsonio.load_state(sys.argv[1])", str(path))
     assert proc.returncode == 1
     assert "ValueError: JSON nested too deeply" in proc.stderr
+
+
+# RFC 8259 asks for UTF-8: a file reads alike in the C locale, where
+# Path.read_text() would decode it as ASCII.
+@pytest.mark.parametrize(
+    "data,want",
+    [
+        ('{"dim": 1, "re": [1], "im": [0], "note": "caf\u00e9"}'.encode(), "[(1+0j)]"),
+        (b"\xef\xbb\xbf" + json.dumps(PLAIN).encode(), "ValueError: Unexpected UTF-8 BOM"),
+    ],
+    ids=["utf-8-note", "bom"],
+)
+def test_file_reads_as_utf_8_in_the_c_locale(data, want, tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_bytes(data)
+    code = (
+        "import sys\n"
+        "from zenogeo import jsonio\n"
+        "try:\n"
+        "    print(jsonio.load_state(sys.argv[1]).tolist())\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    proc = run_python(code, str(path), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(want), proc.stdout

@@ -344,7 +344,7 @@ def test_qubit_imports_nothing_from_zeno():
     """frozen_state_check compresses H onto e1 itself, so qubit reaches no
     zeno name, private or public."""
     imported = set()
-    for node in ast.walk(ast.parse(pathlib.Path(qubit.__file__).read_text())):
+    for node in ast.walk(ast.parse(pathlib.Path(qubit.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{a.name}" for a in node.names)

@@ -8,7 +8,7 @@ ROW = re.compile(r"^\| `(zenogeo\.\w+)` \| (.*) \|$")
 
 
 def layout_rows():
-    rows = [ROW.match(line) for line in README.read_text().splitlines()]
+    rows = [ROW.match(line) for line in README.read_text(encoding="utf-8").splitlines()]
     return [(m.group(1), re.findall(r"`([^`]*)`", m.group(2))) for m in rows if m]
 
 
