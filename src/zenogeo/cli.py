@@ -449,10 +449,28 @@ def handle_freeze(args) -> int:
 # parser
 
 
+class _StoreOne(argparse.Action):
+    """argparse's store, refusing the empty list that argparse up to Python
+    3.12 stores for "--f=--" (it drops the "--"): no handler takes a list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(values, list):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 # Built on the first call and shared after: parsing leaves the parsers
 # unchanged and returns a fresh Namespace, so every call of main in one
-# process parses with this one tree.  Its commands attribute maps each
-# command name to that command's parser, which main hands the flags to.
+# process uses this one tree.  Its commands attribute maps each command
+# name to that command's flag table, recorded from the actions its
+# add_argument calls return: each flag string to its action, and the
+# names that parse_args sets without a flag (command and the handler).
+# main reads an argv straight from the table when every token after the
+# command is an exact flag, given once, as --f=v or as --f v with v
+# non-empty and not "-"-leading.  argparse parses every other argv:
+# help, abbreviations, "-"-leading values in the space form, duplicates,
+# bad values, missing flags and unknown tokens.  It stays the one
+# definition of the flags, and of every message.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -461,78 +479,118 @@ def build_parser() -> argparse.ArgumentParser:
         "induced dynamics; outputs CSV or JSON.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=non_negative_int, default=0, help="seed for random presets")
+    def command(name: str, handler, help: str):
+        """Add a command's parser; return its add_argument, which also
+        records the flag's action in the command's table."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        flags: dict[str, argparse.Action] = {}
+        parser.commands[name] = (flags, {"command": name, "handler": handler})
 
-    def qubit_field(p: argparse.ArgumentParser) -> None:
+        def add(*names, **kwargs) -> None:
+            action = p.add_argument(*names, action=_StoreOne, **kwargs)
+            flags.update(dict.fromkeys(action.option_strings, action))
+
+        return add
+
+    def common(add) -> None:
+        add("--format", choices=["csv", "json"], default="csv")
+        add("--out", default=None, help="output path (default stdout)")
+        add("--seed", type=non_negative_int, default=0, help="seed for random presets")
+
+    def qubit_field(add) -> None:
         for flag in ("--h0", "--hx", "--hy", "--hz"):
-            p.add_argument(flag, type=finite_float, default=0.0)
+            add(flag, type=finite_float, default=0.0)
 
-    p = sub.add_parser("survival", help="survival probability p(t) and its quadratic approximation")
-    p.add_argument("--hamiltonian", required=True, help="path | sigma_x|sigma_y|sigma_z | qubit:h0,hx,hy,hz | random:n")
-    p.add_argument("--state", required=True, help="path | e<k> | plus | random")
-    p.add_argument("--t-max", dest="t_max", type=finite_float, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    common(p)
-    p.set_defaults(handler=handle_survival)
+    add = command("survival", handle_survival, "survival probability p(t) and its quadratic approximation")
+    add("--hamiltonian", required=True, help="path | sigma_x|sigma_y|sigma_z | qubit:h0,hx,hy,hz | random:n")
+    add("--state", required=True, help="path | e<k> | plus | random")
+    add("--t-max", dest="t_max", type=finite_float, required=True)
+    add("--samples", type=int, default=100)
+    common(add)
 
-    p = sub.add_parser("zeno-time", help="variance of H and the Zeno time")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--state", required=True)
-    common(p)
-    p.set_defaults(handler=handle_zeno_time)
+    add = command("zeno-time", handle_zeno_time, "variance of H and the Zeno time")
+    add("--hamiltonian", required=True)
+    add("--state", required=True)
+    common(add)
 
-    p = sub.add_parser("converge", help="distance of the measured product from its limit on a doubling ladder")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--projector", required=True, help="path | e<k> | identity | random:rank")
-    p.add_argument("--t", type=finite_float, default=1.0)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True, help="largest N, a power of two >= 8")
-    common(p)
-    p.set_defaults(handler=handle_converge)
+    add = command("converge", handle_converge, "distance of the measured product from its limit on a doubling ladder")
+    add("--hamiltonian", required=True)
+    add("--projector", required=True, help="path | e<k> | identity | random:rank")
+    add("--t", type=finite_float, default=1.0)
+    add("--n-max", dest="n_max", type=int, required=True, help="largest N, a power of two >= 8")
+    common(add)
 
-    p = sub.add_parser("flow", help="Bloch trajectory of the limit dynamics")
-    qubit_field(p)
-    p.add_argument("--start", required=True, help="north | south | equator | u,x,y,z")
-    p.add_argument("--t", type=finite_float, required=True)
-    p.add_argument("--samples", type=int, default=200)
-    common(p)
-    p.set_defaults(handler=handle_flow)
+    add = command("flow", handle_flow, "Bloch trajectory of the limit dynamics")
+    qubit_field(add)
+    add("--start", required=True, help="north | south | equator | u,x,y,z")
+    add("--t", type=finite_float, required=True)
+    add("--samples", type=int, default=200)
+    common(add)
 
-    p = sub.add_parser("brackets", help="verify the bracket identities on random draws")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    common(p)
-    p.set_defaults(handler=handle_brackets)
+    add = command("brackets", handle_brackets, "verify the bracket identities on random draws")
+    add("--n", type=int, default=2)
+    add("--trials", type=int, default=100)
+    common(add)
 
-    p = sub.add_parser("freeze", help="survival and phase of the prepared qubit state")
-    qubit_field(p)
-    p.add_argument("--t", type=finite_float, required=True)
-    common(p)
-    p.set_defaults(handler=handle_freeze)
+    add = command("freeze", handle_freeze, "survival and phase of the prepared qubit state")
+    qubit_field(add)
+    add("--t", type=finite_float, required=True)
+    common(add)
 
-    parser.commands = sub.choices
     return parser
+
+
+def _read_flags(tokens: list[str], flags: dict, fixed: dict) -> argparse.Namespace | None:
+    """The namespace parse_args gives a command's tokens, read straight from
+    its flag table; None when a token is not an exact flag, a flag comes
+    twice, a space-form value is empty or "-"-leading (argparse's to
+    classify), a value fails its type or choices, or a required flag is
+    missing.  "--f=--" is declined too: argparse up to 3.12 reads its value
+    as [], 3.13 as "--"."""
+    given = {}
+    pairs = iter(tokens)
+    for token in pairs:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(pairs, "")
+            if not value or value[0] == "-":
+                return None
+        elif value == "--":
+            return None
+        action = flags.get(flag)
+        if action is None or action in given:
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    values = dict(fixed)
+    for action in flags.values():
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required:
+            return None
+        else:
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # The root parser would only pass argv[1:] on to the command's parser.
-    # It runs when argv names no command, and again when the command's
-    # parser leaves tokens over, to fail as it always has: with its usage
-    # line and "unrecognized arguments".
-    command = parser.commands.get(argv[0]) if argv else None
-    try:
-        if command is not None:
-            args, extra = command.parse_known_args(argv[1:])
-            args.command = argv[0]
-        if command is None or extra:
+    table = parser.commands.get(argv[0]) if argv else None
+    args = None if table is None else _read_flags(argv[1:], *table)
+    if args is None:
+        try:
             args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own usage message
-        return int(exc.code or 0)
+        except SystemExit as exc:  # argparse prints its own usage message
+            return int(exc.code or 0)
     try:
         return args.handler(args)
     except CliInputError as exc:

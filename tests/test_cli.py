@@ -687,6 +687,42 @@ DISPATCH_ARGVS = st.builds(
     st.lists(dispatch_items, max_size=6),
 )
 
+# Values of the namespace oracle: a few that each flag takes (the
+# "-"-leading ones only in the --f=v form), then ones that a flag or a form
+# refuses: empty, "-"-leading, "--", out of range or out of choices.
+FLAG_VALUES = {
+    "--format": ["csv", "json"], "--out": ["out.txt"], "--seed": ["0", "3"],
+    "--hamiltonian": ["sigma_x", "qubit:1,0,0,1"], "--state": ["e1", "plus"],
+    "--t-max": ["1", "0.5"], "--samples": ["2", "3"], "--projector": ["e1", "identity"],
+    "--t": ["1", "-1", "-1e-05"], "--n-max": ["8", "16"], "--start": ["equator", "1,0,0,1"],
+    "--n": ["1", "2"], "--trials": ["1", "2"],
+    **dict.fromkeys(["--h0", "--hx", "--hy", "--hz"], ["0.5", "-1e-05", "2"]),
+}
+BAD_VALUES = ["", "-", "--", "-x", "-1", "inf", "nan", "x", "xml", "1e400", "--t", "--format=json"]
+
+
+@st.composite
+def command_argvs(draw):
+    """A command and its exact flags, in any order and either form.  Half
+    the argvs are well formed: each required flag once, each other flag at
+    most once, "-"-leading values as --f=v.  In the other half a flag may be
+    missing or come twice, a value may come from BAD_VALUES, and a
+    "-"-leading value may take the space form."""
+    name = draw(st.sampled_from(sorted(cli.build_parser().commands)))
+    flags, _ = cli.build_parser().commands[name]
+    noisy = draw(st.booleans())
+    items = []
+    for flag, action in flags.items():
+        counts = [1] if action.required else [0, 1]
+        if noisy:
+            counts = counts * 4 + [0, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            bad = noisy and draw(st.integers(0, 7)) == 0
+            value = draw(st.sampled_from(BAD_VALUES if bad else FLAG_VALUES[flag]))
+            space = draw(st.booleans()) and (noisy or not value.startswith("-"))
+            items.append([flag, value] if space else [f"{flag}={value}"])
+    return [name, *(tok for item in draw(st.permutations(items)) for tok in item)]
+
 
 class TestDispatch:
     @pytest.fixture(autouse=True)
@@ -725,6 +761,90 @@ class TestDispatch:
         assert got_code == code
         assert out.startswith(out_start)
         assert err.startswith(err_start) and err.endswith(err_end)
+
+    @given(argv=command_argvs())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_direct_read_is_parse_args(self, argv, capsys):
+        """Wherever main reads an argv from the flag table, it gets the
+        namespace of the root parser's parse_args; everywhere, main prints
+        what the nested dispatch prints."""
+        args = cli._read_flags(argv[1:], *cli.build_parser().commands[argv[0]])
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
+        self.assert_as_nested(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,code,out_start,err_has",
+        [
+            # argparse takes -1e-05 for a flag, and -1 for a number.
+            (["freeze", "--t", "-1e-05"], 2, "", "error: argument --t: expected one argument\n"),
+            (["freeze", "--t", "-1"], 0, "t,survival,phase_re,phase_im\n-1,", ""),
+            (["freeze", "--t=1", "--t=2"], 0, "t,survival,phase_re,phase_im\n2,", ""),
+            (["freeze", "--t="], 2, "", "error: argument --t: invalid finite_float value: ''\n"),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "8", "--format=xml"],
+             2, "", "error: argument --format: invalid choice: 'xml'"),
+            (["freeze", "--t=1", "--out="], 2, "", "error: --out: "),
+        ],
+    )
+    def test_hand_picked_flag_forms_as_nested(self, argv, code, out_start, err_has, capsys):
+        got_code, out, err = self.assert_as_nested(argv, capsys)
+        assert got_code == code
+        assert out.startswith(out_start)
+        assert err_has in err and bool(err) == (code != 0)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["brackets", "--n=--"], "--n"),
+            (["zeno-time", "--hamiltonian=--", "--state=e1"], "--hamiltonian"),
+            (["flow", "--t=1", "--start=--"], "--start"),
+        ],
+    )
+    def test_double_dash_value_is_refused(self, argv, flag, capsys):
+        """argparse up to Python 3.12 drops the "--" of "--f=--" and stores
+        [], which no handler takes; 3.13 stores "--"."""
+        code, _, err = self.assert_as_nested(argv, capsys)
+        assert code == 2 and f"{flag}: " in err
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        """The names of the argparse parse methods called, in order."""
+        calls = []
+        for name in ("parse_args", "parse_known_args"):
+            def counting(self, *args, real=getattr(argparse.ArgumentParser, name), name=name, **kwargs):
+                calls.append(name)
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(argparse.ArgumentParser, name, counting)
+        return calls
+
+    def test_benchmark_argvs_skip_argparse(self, parse_calls, capsys):
+        """The argv shapes of the perfbench workloads: numbers as --f=v for
+        freeze and flow, --f v with file paths for the others."""
+        jsonio.save_matrix("H.json", SIGMA_X)
+        jsonio.save_state("psi.json", np.array([1.0, 0.0]))
+        jsonio.save_matrix("P.json", np.diag([1.0, 0.0]))
+        field = ["--h0=-0.5", "--hx=0.25", "--hy=-1e-05", "--hz=1.5"]
+        files = ["--hamiltonian", "H.json", "--state", "psi.json"]
+        argvs = [
+            ["freeze", *field, "--t=2.5"],
+            ["flow", *field, "--start=1.0,0.6,0.0,0.8", "--t=3.0", "--samples=20"],
+            ["brackets", "--n", "4", "--trials", "3", "--seed", "12345", "--format", "json"],
+            ["survival", *files, "--t-max", "3.0", "--samples", "10"],
+            ["zeno-time", *files],
+            ["converge", "--hamiltonian", "H.json", "--projector", "P.json", "--t", "1.0",
+             "--n-max", "64", "--format", "json"],
+        ]
+        for argv in argvs:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err, parse_calls) == (0, "", [])
+            assert out
+
+    @pytest.mark.parametrize("argv", [["freeze", "--form=json", "--t=1"], ["freeze", "-h"], ["bogus"]])
+    def test_other_argvs_parse_through_argparse(self, argv, parse_calls, capsys):
+        cli.main(argv)
+        capsys.readouterr()
+        assert parse_calls
 
     @pytest.mark.parametrize(
         "argv,code",
