@@ -33,9 +33,9 @@ SAMPLES_MAX = 100_000
 SURVIVAL_WORK_MAX = RANDOM_DIM_MAX * 10_000
 TRIALS_MAX = 3000
 #: brackets evaluates its trials in blocks, each stacked n x n complex
-#: matrix at most this many bytes: 8 trials at n = 16, more at smaller n.
+#: matrix at most this many bytes: 16 trials at n = 16, more at smaller n.
 #: The block keeps the peak memory that of a few trials, whatever --trials.
-BRACKET_BLOCK_BYTES = 32 * 1024
+BRACKET_BLOCK_BYTES = 64 * 1024
 
 
 class CliInputError(Exception):
@@ -314,9 +314,12 @@ def handle_converge(args) -> int:
         ladder.append(ladder[-1] * 2)
     with _charged_to("--t"):
         points = zeno.convergence_scan(setup, args.t, ladder)
-    # N |V_N - U_Z| tends to c_inf = (t^2 / 2) |K o Phi|_2, at most
-    # t^2 leakage^2 / 2 since |Phi_jk| <= 1.  At or below EXACT_TOL the
-    # limit is exact and every error in the scan is roundoff.
+    # Every rung obeys |V_N - U_Z|_2 <= t^2 |R|_2^2 / (2N) with
+    # R = HQ - QA: one measured step is within tau^2 |R|_2^2 / 2 of
+    # exp(-iA tau), and the N steps telescope.  leakage = |R|_F >= |R|_2,
+    # so t^2 leakage^2 / 2 bounds N |V_N - U_Z| at every N, not only as
+    # N -> infinity.  At or below EXACT_TOL the limit is exact at every rung
+    # and every error in the scan is roundoff.
     tl = abs(args.t) * setup.leakage
     exact = tl * tl / 2 <= zeno.EXACT_TOL
     slope = None if exact else zeno.fit_convergence_slope(points)
@@ -371,37 +374,54 @@ def handle_brackets(args) -> int:
     worst = (0.0, -1, "")
     max_poisson = 0.0
     max_jordan = 0.0
-    block = max(1, BRACKET_BLOCK_BYTES // (16 * n * n))
+    block = min(trials, max(1, BRACKET_BLOCK_BYTES // (16 * n * n)))
+    # Every block is drawn into, and built in, these buffers.  A draw of k
+    # rows into the first k rows of draws is the same stream as a fresh
+    # (k, 4n^2 + 2n) draw, and each row is sliced in the order of the six
+    # draws of _random_hermitian for A, then B, then the state's real and
+    # imaginary parts: the same bits as one draw per trial.
+    draws = np.empty((block, 4 * n * n + 2 * n))
+    pairs = np.empty((block, 2, n, n), dtype=np.complex128)
+    states = np.empty((block, n), dtype=np.complex128)
     for first in range(0, trials, block):
         k = min(block, trials - first)
-        # One draw per block, a row per trial: the same stream as one draw
-        # per trial.  Each row is sliced in the order of the six draws of
-        # _random_hermitian for A, then B, then the state's real and
-        # imaginary parts: the same bits.  A and B are Hermitian by
-        # construction, so nothing checks them again.
-        x = rng.standard_normal((k, 4 * n * n + 2 * n))
-        m = x[:, : 4 * n * n].reshape(k, 4, n, n)
-        A, B = (
-            0.5 * (R + R.conj().swapaxes(1, 2))
-            for R in (m[:, 0] + 1j * m[:, 1], m[:, 2] + 1j * m[:, 3])
-        )
+        x = rng.standard_normal(out=draws[:k])
+        m = x[:, : 4 * n * n].reshape(k, 2, 2, n, n)
         v = x[:, 4 * n * n :].reshape(k, 2, n)
-        psi = v[:, 0] + 1j * v[:, 1]
+        # (R + R^H) / 2 for R = re + i im, a part at a time: re + re^T and
+        # im - im^T are the bits of the complex sum, then the same halving
+        # as _random_hermitian.  A and B are Hermitian by construction, so
+        # nothing checks them again.
+        mats = pairs[:k]
+        np.add(m[:, :, 0], m[:, :, 0].swapaxes(2, 3), out=mats.real)
+        np.subtract(m[:, :, 1], m[:, :, 1].swapaxes(2, 3), out=mats.imag)
+        mats *= 0.5
+        A, B = mats[:, 0], mats[:, 1]
+        psi = states[:k]
+        psi.real, psi.imag = v[:, 0], v[:, 1]
         psi /= np.sqrt(linalg.norm_sq(psi))[:, None]
         # One differential per function serves both brackets.
         dA = geometry._differential(A, psi)
         dB = geometry._differential(B, psi)
-        AB, BA = A @ B, B @ A
-        comm = 1j * (AB - BA)
-        anti = 0.5 * (AB + BA)
-        dp = np.abs(geometry.symplectic_Omega(dA, dB) - linalg.expectation_value(comm, psi))
-        dj = np.abs(geometry.metric_G(dA, dB) - linalg.expectation_value(anti, psi))
-        max_poisson = max(max_poisson, float(dp.max()))
-        max_jordan = max(max_jordan, float(dj.max()))
-        # The first largest deviation in trial order, poisson before jordan.
-        devs = np.stack([dp, dj], axis=1).ravel()
-        i = int(np.argmax(devs))
-        if devs[i] > worst[0]:
+        # comm = i(AB - BA) and anti = (AB + BA) / 2, in place.
+        comm, BA = A @ B, B @ A
+        anti = comm + BA
+        anti *= 0.5
+        comm -= BA
+        comm *= 1j
+        dp = geometry.symplectic_Omega(dA, dB)
+        dp -= linalg.expectation_value(comm, psi)
+        np.abs(dp, out=dp)
+        dj = geometry.metric_G(dA, dB)
+        dj -= linalg.expectation_value(anti, psi)
+        np.abs(dj, out=dj)
+        p, j = float(dp.max()), float(dj.max())
+        max_poisson = max(max_poisson, p)
+        max_jordan = max(max_jordan, j)
+        if max(p, j) > worst[0]:
+            # The first largest deviation in trial order, poisson before jordan.
+            devs = np.stack([dp, dj], axis=1).ravel()
+            i = int(np.argmax(devs))
             worst = (float(devs[i]), first + i // 2, ("poisson", "jordan")[i % 2])
     ok = max(max_poisson, max_jordan) <= BRACKET_TOL
     if args.format == "json":

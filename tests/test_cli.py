@@ -424,7 +424,7 @@ class TestBrackets:
             yield dp, dj
 
     def test_blocks_of_the_documented_size(self):
-        assert [bracket_block(n) for n in (1, 2, 16)] == [2048, 512, 8]
+        assert [bracket_block(n) for n in (1, 2, 16)] == [4096, 1024, 16]
 
     # Around each block edge: a block short of full, one full block, one
     # trial into the next, and past two blocks (within --trials' bound).
@@ -435,6 +435,34 @@ class TestBrackets:
         for trials in (k - 1, k, k + 1, 2 * k + 1)
         if trials <= cli.TRIALS_MAX
     ]
+
+    # Blocks of one trial, of three (4 and 7 trials end in a partial
+    # block), of the default size (edges at 1024 trials for n = 2 and at 16
+    # and 32 for n = 16) and one block for every run.
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(1, 4), (1, 7), (1, 100), (2, 4), (2, 7), (2, 1025), (16, 4), (16, 7), (16, 17), (16, 33)],
+    )
+    def test_reports_do_not_depend_on_the_block_size(self, n, trials, monkeypatch, capsys):
+        # The blocks share their buffers: a row left from an earlier block,
+        # or a result built over its own input, would change some report.
+        tols = (cli.BRACKET_TOL, 0.0)
+        reports = set()
+        for block_bytes in (1, 3 * 16 * n * n, cli.BRACKET_BLOCK_BYTES, 1024 * 1024):
+            monkeypatch.setattr(cli, "BRACKET_BLOCK_BYTES", block_bytes)
+            report = []
+            for tol in tols:
+                monkeypatch.setattr(cli, "BRACKET_TOL", tol)
+                for fmt in ("csv", "json"):
+                    argv = ["brackets", "--n", str(n), "--trials", str(trials), "--seed", "5", "--format", fmt]
+                    code, out, err = run_cli(argv, capsys)
+                    assert err == ""
+                    report.append((code, out))
+            reports.add(tuple(report))
+        ((passed, _), _, (failed, fail_report), _) = reports.pop()
+        assert not reports
+        assert (passed, failed) == (0, 1)
+        assert fail_report.splitlines()[-1].startswith("FAIL (tolerance 0); worst: trial ")
 
     def test_report_matches_the_per_bracket_functions(self, capsys):
         for n, trials, seed in [(5, 60, 13), (16, 50, 17)] + self.BLOCK_EDGES:
