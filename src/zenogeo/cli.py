@@ -382,7 +382,6 @@ def handle_brackets(args) -> int:
     # imaginary parts: the same bits as one draw per trial.
     draws = np.empty((block, 4 * n * n + 2 * n))
     pairs = np.empty((block, 2, n, n), dtype=np.complex128)
-    states = np.empty((block, n), dtype=np.complex128)
     for first in range(0, trials, block):
         k = min(block, trials - first)
         x = rng.standard_normal(out=draws[:k])
@@ -397,8 +396,7 @@ def handle_brackets(args) -> int:
         np.subtract(m[:, :, 1], m[:, :, 1].swapaxes(2, 3), out=mats.imag)
         mats *= 0.5
         A, B = mats[:, 0], mats[:, 1]
-        psi = states[:k]
-        psi.real, psi.imag = v[:, 0], v[:, 1]
+        psi = v[:, 0] + 1j * v[:, 1]
         psi /= np.sqrt(linalg.norm_sq(psi))[:, None]
         # One differential per function serves both brackets.
         dA = geometry._differential(A, psi)

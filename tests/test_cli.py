@@ -465,7 +465,9 @@ class TestBrackets:
         assert fail_report.splitlines()[-1].startswith("FAIL (tolerance 0); worst: trial ")
 
     def test_report_matches_the_per_bracket_functions(self, capsys):
-        for n, trials, seed in [(5, 60, 13), (16, 50, 17)] + self.BLOCK_EDGES:
+        # Every run at n = 1 is one block, so BLOCK_EDGES holds none.
+        one_block = [(1, 100, 21), (1, cli.TRIALS_MAX, 22)]
+        for n, trials, seed in [(5, 60, 13), (16, 50, 17)] + one_block + self.BLOCK_EDGES:
             max_poisson = max_jordan = 0.0
             for dp, dj in self.deviations(n, trials, seed):
                 max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
