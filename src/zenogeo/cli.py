@@ -294,7 +294,7 @@ def handle_zeno_time(args) -> int:
     psi0 = parse_state_spec(args.state, H.shape[0], rng)
     with _charged_to("--hamiltonian"):
         var = linalg.variance(H, psi0)
-    tau = linalg.zeno_time(psi0, H)
+    tau = linalg.zeno_time_of_variance(var)
     _emit_table(args, ["variance", "tau_z"], [[var, tau]])
     return 0
 

@@ -100,17 +100,39 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return out
 
 
-def require_projector(P) -> np.ndarray:
-    """Check Hermiticity, idempotence (Frobenius) and rank >= 1, the rank being
-    the rounded trace: idempotence keeps them sqrt(n) PROJECTOR_TOL apart."""
+def require_projector(P) -> tuple[np.ndarray, np.ndarray]:
+    """Check Hermiticity, idempotence and rank >= 1; return P and Q, an
+    orthonormal basis of range P, of rank r = round(trace P).
+
+    Pivoted Cholesky P ~ L L^dagger, L of size n x r, stops at a pivot below
+    1/(2n): a projector's are >= 1/n, as the residual of rank r - k has trace
+    r - k.  Q = qr(P L), or I at r = n, spans the nearest orthogonal
+    projector.  P is idempotent when |P - QQ^dagger|_F, which is |P^2 - P|_F
+    to first order, is at most PROJECTOR_TOL; with Q of rank below r it is not."""
     P = require_hermitian(P, tol=PROJECTOR_TOL)
-    idem = np.linalg.norm(P @ P - P)
-    if idem > PROJECTOR_TOL:
-        raise ValueError(f"matrix is not idempotent (|P^2 - P|_F = {idem:.3e})")
+    n = P.shape[0]
     tr = float(np.real(np.trace(P)))
-    if round(tr) < 1:
+    r = max(round(tr), 0)
+    if r >= n:
+        Q = np.eye(n, dtype=np.complex128)
+        resid = np.linalg.norm(P - Q)
+    else:
+        L = np.zeros((n, r), dtype=np.complex128)
+        d = np.real(P.diagonal()).copy()
+        for k in range(r):
+            j = int(np.argmax(d))
+            if d[j] < 0.5 / n:
+                L = L[:, :k]
+                break
+            L[:, k] = (P[:, j] - L[:, :k] @ L[j, :k].conj()) / math.sqrt(d[j])
+            d -= np.abs(L[:, k]) ** 2
+        Q = np.linalg.qr(P @ L)[0] if L.size else L
+        resid = np.linalg.norm(P - Q @ Q.conj().T)
+    if not resid <= PROJECTOR_TOL:
+        raise ValueError(f"matrix is not idempotent (|P - QQ^dagger|_F = {resid:.3e})")
+    if r < 1:
         raise ValueError(f"projector trace {tr!r} is not an integer rank in [1, n]")
-    return P
+    return P, Q
 
 
 def _require_finite_phases(E: np.ndarray, t) -> None:
@@ -245,16 +267,18 @@ def variance(H, psi) -> float:
     return second - mean * mean
 
 
+def zeno_time_of_variance(var: float) -> float:
+    """Zeno time 1/sqrt(var); +inf at or below VARIANCE_FLOOR (an eigenstate)."""
+    return math.inf if var <= VARIANCE_FLOOR else 1.0 / math.sqrt(var)
+
+
 def zeno_time(psi0, H) -> float:
     """Inverse standard deviation of H in psi0; +inf for an eigenstate.
 
     Sets the quadratic short-time decay scale of the survival probability,
     p(t) ~ 1 - t^2 * variance.
     """
-    var = variance(H, psi0)
-    if var <= VARIANCE_FLOOR:
-        return math.inf
-    return 1.0 / math.sqrt(var)
+    return zeno_time_of_variance(variance(H, psi0))
 
 
 def short_time_coefficient(psi0, H) -> float:

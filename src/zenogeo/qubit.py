@@ -27,12 +27,12 @@ import numpy as np
 
 from .linalg import (
     NORM_SQ_FLOOR,
-    VARIANCE_FLOOR,
     _hermitian_eigh,
     _propagator,
     as_state,
     norm_sq,
     require_hermitian,
+    zeno_time_of_variance,
 )
 
 #: Projector onto the first basis state, (I + sigma_z)/2.
@@ -126,10 +126,7 @@ def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     b = bloch_map(psi)
     r = np.array([b.x, b.y, b.z])
     cross = np.cross(hq.field, r)
-    inv_tau_sq = float(cross @ cross) / float(r @ r)
-    if inv_tau_sq <= VARIANCE_FLOOR:
-        return math.inf
-    return 1.0 / math.sqrt(inv_tau_sq)
+    return zeno_time_of_variance(float(cross @ cross) / float(r @ r))
 
 
 def zeno_rotation_rate(hq: QubitHamiltonian) -> float:

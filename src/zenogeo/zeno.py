@@ -35,15 +35,15 @@ class ZenoSetup:
 
     The measured dynamics lives on range P, of rank r, so the setup
     decomposes its inputs once for every product taken from it:
-    ``basis`` is Q, an n x r orthonormal basis of range P (see
-    _range_basis), ``energies`` is E and ``overlaps`` is W = Q^dagger V,
-    with H = V diag(E) V^dagger, the one n x n eigendecomposition.  One
-    measured step is then the r x r matrix
+    ``basis`` is Q, the n x r orthonormal basis of range P that
+    linalg.require_projector returns, ``energies`` is E and ``overlaps``
+    is W = Q^dagger V, with H = V diag(E) V^dagger, the one n x n
+    eigendecomposition.  One measured step is then the r x r matrix
     S_N = Q^dagger exp(-iHt/N) Q = (W * exp(-iEt/N)) W^dagger, and
     ``compression`` is the r x r matrix A = Q^dagger H Q: S_N^N tends to
     exp(-iAt).
     P is idempotent only to PROJECTOR_TOL, so Q spans the nearest
-    orthogonal projector QQ^dagger, with |QQ^dagger - P|_F about |P^2 - P|_F.
+    orthogonal projector QQ^dagger, with |QQ^dagger - P|_F <= PROJECTOR_TOL.
     ``leakage`` is |HQ - Q Q^dagger H Q|_F = |(I - P) H P|_F, how far H
     moves range P out of itself: for a rank-one P = |psi><psi| its square
     is the variance of H in psi, 1/tau_Z^2.
@@ -62,9 +62,7 @@ class ZenoSetup:
     leakage: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        H = require_hermitian(self.hamiltonian)
-        P = require_projector(self.projector)
-        Q, HQ, A = _compression(H, P)
+        H, P, Q, HQ, A = _compression(self.hamiltonian, self.projector)
         E, V = np.linalg.eigh(H)
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "projector", P)
@@ -91,35 +89,14 @@ class ZenoSetup:
         return self.hamiltonian.shape[0]
 
 
-def _compression(H: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q = _range_basis(P), HQ and A = Q^dagger H Q for a checked H and P."""
+def _compression(H, P) -> tuple[np.ndarray, ...]:
+    """Checked H and P, the check's basis Q of range P, HQ and A = Q^dagger H Q."""
+    H = require_hermitian(H)
+    P, Q = require_projector(P)
     if H.shape != P.shape:
         raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
-    Q = _range_basis(P)
     HQ = H @ Q
-    return Q, HQ, Q.conj().T @ HQ
-
-
-def _range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal n x r basis of range P for a validated projector P.
-
-    r = trace P steps of diagonal-pivoted Cholesky give P ~ L L^dagger with
-    L of size n x r; every pivot is >= 1/n, since the residual of rank
-    r - k has trace r - k.  One subspace step P L then damps the part of P
-    that is not idempotent, so Q = qr(P L) spans the nearest orthogonal
-    projector.  The only rank-n orthogonal projector is I.
-    """
-    n = P.shape[0]
-    r = round(float(np.real(np.trace(P))))
-    if r == n:
-        return np.eye(n, dtype=np.complex128)
-    L = np.zeros((n, r), dtype=np.complex128)
-    d = np.real(P.diagonal()).copy()
-    for k in range(r):
-        j = int(np.argmax(d))
-        L[:, k] = (P[:, j] - L[:, :k] @ L[j, :k].conj()) / math.sqrt(d[j])
-        d -= np.abs(L[:, k]) ** 2
-    return np.linalg.qr(P @ L)[0]
+    return H, P, Q, HQ, Q.conj().T @ HQ
 
 
 @dataclass(frozen=True)
@@ -165,7 +142,7 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
     """Compression PHP = Q (A + A^dagger)/2 Q^dagger to the measured subspace."""
-    Q, _, A = _compression(require_hermitian(H), require_projector(P))
+    _, _, Q, _, A = _compression(H, P)
     return Q @ (0.5 * (A + A.conj().T)) @ Q.conj().T
 
 
@@ -174,7 +151,7 @@ def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
 
     Unitary on the measured subspace, zero on its complement.
     """
-    Q, _, A = _compression(require_hermitian(H), require_projector(P))
+    _, _, Q, _, A = _compression(H, P)
     a, Z = _hermitian_eigh(A)
     return _propagator(a, Q @ Z, float(t))
 

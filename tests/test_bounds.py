@@ -10,7 +10,9 @@ identity that shares no code path with the routine it checks.
     (survival_probability) agree: p_N(t) = p(t/N)^N.
 (c) Convergence, any rank: |V_N(t) - exp(-iPHPt) P|_2 <= t^2 |R|_2^2 / (2N)
     with R = HQ - QA.  One measured step is within tau^2 |R|_2^2 / 2 of
-    exp(-iA tau); the N steps telescope.
+    exp(-iA tau); the N steps telescope.  Checked on convergence_scan and
+    on the rungs that the converge command prints for H and P read from
+    JSON files.
 
 Tolerances, measured over 5000 seeded draws of each kind with n <= 8:
 (a) no draw fell below cos^2(t / tau_Z).  In the saturating case the
@@ -25,14 +27,19 @@ Tolerances, measured over 5000 seeded draws of each kind with n <= 8:
     it.  A rung may exceed it by ROUNDOFF_NEPS N eps, the order of the
     roundoff of N powered steps, at most 1% of the bound on a checked rung.
 """
+import contextlib
+import io
+import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_rank_projector, random_state
-from zenogeo import linalg, zeno
+from zenogeo import cli, jsonio, linalg, zeno
 
 EPS = np.finfo(np.float64).eps
 SPEED_TOL = 1e-13
@@ -89,6 +96,21 @@ def test_pulsed_survival_is_the_survival_of_one_interval_to_the_nth(draw, t, N):
     assert abs(p_N - linalg.survival_probability(psi, H, t / N) ** N) <= PULSED_TOL
 
 
+def printed_rungs(H, P, t):
+    """(N, error_spectral) for each rung that `converge --format json`
+    prints, H and P written to JSON files first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(pathlib.Path(tmp, name)) for name in ("H.json", "P.json")]
+        jsonio.save_matrix(paths[0], H)
+        jsonio.save_matrix(paths[1], P)
+        out = io.StringIO()
+        argv = ["converge", "--hamiltonian", paths[0], "--projector", paths[1],
+                "--t", repr(t), "--n-max", str(LADDER[-1]), "--format", "json"]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+    return [(row["N"], row["error_spectral"]) for row in json.loads(out.getvalue())["rows"]]
+
+
 @given(draws, st.floats(0.1, 3.0))
 @settings(max_examples=60, deadline=None)
 def test_every_rung_obeys_the_one_over_n_bound(draw, t):
@@ -96,12 +118,15 @@ def test_every_rung_obeys_the_one_over_n_bound(draw, t):
     rng = np.random.default_rng(seed)
     H = random_hermitian(rng, n)
     r = int(rng.integers(1, n + 1))
-    setup = zeno.ZenoSetup(H, random_rank_projector(rng, n, r))
+    P = random_rank_projector(rng, n, r)
+    setup = zeno.ZenoSetup(H, P)
     Q, A = setup.basis, setup.compression
     R = H @ Q - Q @ A
     c = t * t * np.linalg.norm(R, 2) ** 2 / 2
-    for p in zeno.convergence_scan(setup, t, LADDER):
-        N = p.n_measurements
+    scanned = [(p.n_measurements, p.error_spectral) for p in zeno.convergence_scan(setup, t, LADDER)]
+    printed = printed_rungs(H, P, t)
+    assert [N for N, _ in printed] == [N for N in LADDER if N >= 8]
+    for N, err in scanned + printed:
         # Below this the bound nears the roundoff of N powered steps.
         if c / N >= CHECKED_NEPS * N * EPS:
-            assert p.error_spectral <= c / N + ROUNDOFF_NEPS * N * EPS, (N, p.error_spectral, c / N)
+            assert err <= c / N + ROUNDOFF_NEPS * N * EPS, (N, err, c / N)

@@ -578,10 +578,10 @@ class TestFreeze:
 @pytest.mark.parametrize(
     "argv,count",
     [
-        # In variance, then in survival_probability or zeno_time: no parser
-        # checks a matrix.
+        # In variance, then in survival_probability; zeno-time turns its one
+        # variance into the Zeno time.  No parser checks a matrix.
         (["survival", "--hamiltonian", "random:6", "--state", "random", "--t-max", "1", "--samples", "5"], 2),
-        (["zeno-time", "--hamiltonian", "random:6", "--state", "random"], 2),
+        (["zeno-time", "--hamiltonian", "random:6", "--state", "random"], 1),
         (["flow", "--hz", "1", "--start", "equator", "--t", "1"], 0),
     ],
 )

@@ -1,15 +1,16 @@
 import math
 import os
+import re
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_state, scaled_taylor_expm, taylor_expm
+from conftest import random_hermitian, random_rank_projector, random_state, scaled_taylor_expm, taylor_expm
 from zenogeo import linalg, zeno
 from zenogeo.linalg import (
     SIGMA_X,
@@ -277,6 +278,13 @@ class TestZenoTime:
         with pytest.raises(ValueError):
             zeno_time(np.zeros(2, dtype=complex), SIGMA_X)
 
+    def test_floor_rule(self):
+        floor = linalg.VARIANCE_FLOOR
+        assert linalg.zeno_time_of_variance(floor) == math.inf
+        assert linalg.zeno_time_of_variance(-1.0) == math.inf
+        assert linalg.zeno_time_of_variance(4.0) == 0.5
+        assert math.isfinite(linalg.zeno_time_of_variance(np.nextafter(floor, 1.0)))
+
 
 class TestShortTimeCoefficient:
     def test_sigma_x(self):
@@ -365,6 +373,107 @@ class TestValidation:
     def test_survival_probability_in_range(self, t):
         p = survival_probability(E1, SIGMA_X, t)
         assert 0.0 <= p <= 1.0
+
+
+def dense_projector_verdict(P):
+    """The dense rule, the oracle: |P^2 - P|_F <= PROJECTOR_TOL, then the
+    rounded trace >= 1."""
+    if np.linalg.norm(P @ P - P) > linalg.PROJECTOR_TOL:
+        return "idempotent"
+    return "ok" if round(float(np.trace(P).real)) >= 1 else "trace"
+
+
+def projector_verdict(P):
+    try:
+        linalg.require_projector(P)
+    except ValueError as exc:
+        if re.fullmatch(r"matrix is not idempotent \(\|P - QQ\^dagger\|_F = \S+\)", str(exc)):
+            return "idempotent"
+        assert re.fullmatch(r"projector trace \S+ is not an integer rank in \[1, n\]", str(exc)), exc
+        return "trace"
+    return "ok"
+
+
+def perturbation(rng, Pi, where):
+    """A Hermitian direction of unit Frobenius norm inside range Pi, outside
+    it, across it (the off-diagonal blocks) or anywhere."""
+    W = random_hermitian(rng, Pi.shape[0])
+    out = np.eye(Pi.shape[0]) - Pi
+    D = {"inside": Pi @ W @ Pi, "outside": out @ W @ out, "across": Pi @ W @ out, "anywhere": W}[where]
+    D = D + D.conj().T
+    size = np.linalg.norm(D)
+    return D / size if size > 0.5 else None
+
+
+class TestProjectorCheck:
+    """require_projector decides from its range basis Q, by |P - QQ^dagger|_F;
+    the dense |P^2 - P|_F rule is the oracle, and the two agree outside a
+    relative 1e-3 band around PROJECTOR_TOL."""
+
+    @given(
+        n=st.integers(1, 10),
+        data=st.data(),
+        where=st.sampled_from(["inside", "outside", "across", "anywhere"]),
+        ratio=st.floats(0.5, 1.5) | st.floats(1e-2, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_dense_rule(self, n, data, where, ratio, seed):
+        r = data.draw(st.sampled_from(sorted({0, 1, n - 1, n})) | st.integers(0, n))
+        rng = np.random.default_rng(seed)
+        Pi = np.eye(n, dtype=complex) if r == n else random_rank_projector(rng, n, r)
+        D = perturbation(rng, Pi, where)
+        assume(D is not None)
+        # Across range Pi the defect of P^2 - P is second order in the size.
+        size = ratio * linalg.PROJECTOR_TOL
+        P = Pi + (math.sqrt(size) if where == "across" else size) * D
+        dense = np.linalg.norm(P @ P - P) / linalg.PROJECTOR_TOL
+        assume(abs(dense - 1.0) > 1e-3)
+        assert projector_verdict(P) == dense_projector_verdict(P)
+
+    @given(n=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_non_psd_integer_trace_agrees_with_the_dense_rule(self, n, data, seed):
+        rng = np.random.default_rng(seed)
+        H = random_hermitian(rng, n)
+        k = data.draw(st.integers(0, n))
+        P = H + (k - np.trace(H).real) / n * np.eye(n)
+        assert projector_verdict(P) == dense_projector_verdict(P) == "idempotent"
+
+    @pytest.mark.parametrize(
+        "P,verdict",
+        [
+            # A pivot of 0 after one step: the rank-2 trace meets a rank-1 range.
+            (np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]]), "idempotent"),
+            (np.diag([2.0, -1.0, 0.0]), "idempotent"),
+            (np.diag([1.0, 1.0, -1.0]), "idempotent"),
+            (np.diag([0.5, 0.0]), "idempotent"),
+            (np.zeros((3, 3)), "trace"),
+            (np.diag([4e-11, -4e-11, 0.0]), "trace"),
+            (np.diag([2e-10, 0.0]), "idempotent"),
+            (np.eye(4) + 4e-11 * np.diag([1, -1, 1, -1]), "ok"),
+            (np.eye(4) + 6e-11 * np.diag([1, -1, 1, -1]), "idempotent"),
+            (np.eye(3) - np.diag([0, 0, 1 - 1e-11]), "ok"),
+            (np.diag([1, 1, 0.45]), "idempotent"),
+            (np.diag([1.0, 1e-11, 0.0]), "ok"),
+        ],
+    )
+    def test_edges(self, P, verdict):
+        P = np.asarray(P, dtype=complex)
+        assert projector_verdict(P) == dense_projector_verdict(P) == verdict
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (5, 0), (5, 1), (5, 4), (5, 5)])
+    def test_returns_an_orthonormal_basis_of_the_range(self, n, r):
+        P = np.eye(n) if r == n else random_rank_projector(np.random.default_rng(n + r), n, r)
+        if r == 0:
+            with pytest.raises(ValueError, match="trace"):
+                linalg.require_projector(P)
+            return
+        checked, Q = linalg.require_projector(P)
+        assert np.array_equal(checked, P)
+        assert Q.shape == (n, r)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(r)) <= 1e-14
+        assert np.linalg.norm(Q @ Q.conj().T - P) <= 1e-14
 
 
 #: Parts of a 1 x 1 compression: signed zeros, subnormals, the scale

@@ -10,7 +10,6 @@ from zenogeo import linalg, zeno
 from zenogeo.linalg import SIGMA_X, SIGMA_Z
 from zenogeo.zeno import (
     ZenoSetup,
-    _range_basis,
     convergence_scan,
     fit_convergence_slope,
     measured_trajectory,
@@ -98,6 +97,23 @@ class TestZenoSetup:
         ZenoSetup(random_hermitian(rng, 12), random_rank_projector(rng, 12, 3))
         assert eigh_sizes.count(12) == 1
 
+    @pytest.mark.parametrize("r,calls", [(3, 1), (12, 0)])
+    def test_one_qr_from_the_projector_check(self, monkeypatch, r, calls):
+        # The check's basis is the setup's: qr(P L) once, and none at
+        # identity, where Q = I.
+        rng = np.random.default_rng(13)
+        H = random_hermitian(rng, 12)
+        P = np.eye(12) if r == 12 else random_rank_projector(rng, 12, r)
+        qr, seen = np.linalg.qr, []
+
+        def counting(A, *args, **kwargs):
+            seen.append(A.shape)
+            return qr(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        ZenoSetup(H, P)
+        assert seen == [(12, r)] * calls
+
     def test_compression_is_h_on_range_p(self):
         rng = np.random.default_rng(15)
         H = random_hermitian(rng, 9)
@@ -144,7 +160,7 @@ class TestRangeBasis:
         q2[2:] = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
         q2 /= np.linalg.norm(q2)
         P = np.outer(a, a.conj()) + np.outer(q2, q2.conj())
-        Q = _range_basis(linalg.require_projector(P))
+        Q = linalg.require_projector(P)[1]
         assert Q.shape == (n, 2)
         assert np.linalg.norm(Q @ Q.conj().T - P) <= 1e-13
 
@@ -159,10 +175,9 @@ class TestRangeBasis:
         r = data.draw(st.integers(1, n))
         rng = np.random.default_rng(seed)
         w = random_state(rng, n)
-        P = linalg.require_projector(
+        P, Q = linalg.require_projector(
             random_rank_projector(rng, n, r) + eps * np.outer(w, w.conj())
         )
-        Q = _range_basis(P)
         assert Q.shape == (n, r)
         assert np.max(np.abs(Q.conj().T @ Q - np.eye(r))) <= 1e-12
         assert np.linalg.norm(Q @ Q.conj().T - eigh_range_projector(P)) <= 1e-13
