@@ -182,9 +182,21 @@ def _load(spec: str, load, what: str, dim: int | None = None) -> np.ndarray:
     return value
 
 
+def _hermitian_part(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(R + R^H) / 2 for R = re + i im, into out (..., n, n), from
+    parts (..., 2, n, n) holding re and im.  A part at a time: re + re^T
+    and im - im^T are the bits of the complex sum, then halved in place."""
+    re, im = parts[..., 0, :, :], parts[..., 1, :, :]
+    np.add(re, re.swapaxes(-1, -2), out=out.real)
+    np.subtract(im, im.swapaxes(-1, -2), out=out.imag)
+    out *= 0.5
+    return out
+
+
 def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (R + R.conj().T)
+    # One (2, n, n) draw: the stream of an (n, n) draw of re, then of im.
+    out = np.empty((n, n), dtype=np.complex128)
+    return _hermitian_part(rng.standard_normal((2, n, n)), out)
 
 
 def _random_rank_projector(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -372,29 +384,24 @@ def handle_brackets(args) -> int:
         raise CliInputError("--trials", f"must be in 1..{TRIALS_MAX}, got {trials}")
     rng = np.random.default_rng(args.seed)
     worst = (0.0, -1, "")
-    max_poisson = 0.0
-    max_jordan = 0.0
+    peak = np.zeros(2)  # the largest poisson and jordan deviations
     block = min(trials, max(1, BRACKET_BLOCK_BYTES // (16 * n * n)))
     # Every block is drawn into, and built in, these buffers.  A draw of k
     # rows into the first k rows of draws is the same stream as a fresh
-    # (k, 4n^2 + 2n) draw, and each row is sliced in the order of the six
+    # (k, 4n^2 + 2n) draw, and each row is sliced in the order of the
     # draws of _random_hermitian for A, then B, then the state's real and
-    # imaginary parts: the same bits as one draw per trial.
+    # imaginary parts: the same bits as one draw per trial.  devs holds a
+    # block's |poisson| and |jordan| deviations, a row per trial.
     draws = np.empty((block, 4 * n * n + 2 * n))
     pairs = np.empty((block, 2, n, n), dtype=np.complex128)
+    devs = np.empty((block, 2))
     for first in range(0, trials, block):
         k = min(block, trials - first)
         x = rng.standard_normal(out=draws[:k])
         m = x[:, : 4 * n * n].reshape(k, 2, 2, n, n)
         v = x[:, 4 * n * n :].reshape(k, 2, n)
-        # (R + R^H) / 2 for R = re + i im, a part at a time: re + re^T and
-        # im - im^T are the bits of the complex sum, then the same halving
-        # as _random_hermitian.  A and B are Hermitian by construction, so
-        # nothing checks them again.
-        mats = pairs[:k]
-        np.add(m[:, :, 0], m[:, :, 0].swapaxes(2, 3), out=mats.real)
-        np.subtract(m[:, :, 1], m[:, :, 1].swapaxes(2, 3), out=mats.imag)
-        mats *= 0.5
+        # A and B are Hermitian by construction, so nothing checks them again.
+        mats = _hermitian_part(m, pairs[:k])
         A, B = mats[:, 0], mats[:, 1]
         psi = v[:, 0] + 1j * v[:, 1]
         psi /= np.sqrt(linalg.norm_sq(psi))[:, None]
@@ -407,20 +414,16 @@ def handle_brackets(args) -> int:
         anti *= 0.5
         comm -= BA
         comm *= 1j
-        dp = geometry.symplectic_Omega(dA, dB)
-        dp -= linalg.expectation_value(comm, psi)
-        np.abs(dp, out=dp)
-        dj = geometry.metric_G(dA, dB)
-        dj -= linalg.expectation_value(anti, psi)
-        np.abs(dj, out=dj)
-        p, j = float(dp.max()), float(dj.max())
-        max_poisson = max(max_poisson, p)
-        max_jordan = max(max_jordan, j)
-        if max(p, j) > worst[0]:
-            # The first largest deviation in trial order, poisson before jordan.
-            devs = np.stack([dp, dj], axis=1).ravel()
-            i = int(np.argmax(devs))
-            worst = (float(devs[i]), first + i // 2, ("poisson", "jordan")[i % 2])
+        d = devs[:k]
+        np.subtract(geometry.symplectic_Omega(dA, dB), linalg.expectation_value(comm, psi), out=d[:, 0])
+        np.subtract(geometry.metric_G(dA, dB), linalg.expectation_value(anti, psi), out=d[:, 1])
+        np.abs(d, out=d)
+        np.maximum(peak, d.max(axis=0), out=peak)
+        # The first largest deviation in trial order, poisson before jordan.
+        i = int(np.argmax(d))
+        if d.flat[i] > worst[0]:
+            worst = (float(d.flat[i]), first + i // 2, ("poisson", "jordan")[i % 2])
+    max_poisson, max_jordan = peak.tolist()
     ok = max(max_poisson, max_jordan) <= BRACKET_TOL
     if args.format == "json":
         payload = {

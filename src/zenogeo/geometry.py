@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    NORM_SQ_FLOOR,
     _dot,
+    _nonzero_state,
+    _require_fits,
     _value,
     as_state,
     expectation_value,
-    norm_sq,
     require_hermitian,
 )
 
@@ -71,13 +71,6 @@ def _as_quadratic(f) -> QuadraticFunction:
     return QuadraticFunction(f)
 
 
-def _check_dims(f: QuadraticFunction, psi: np.ndarray) -> None:
-    if f.dim != psi.size:
-        raise ValueError(
-            f"dimension mismatch: function expects dim {f.dim}, state has {psi.size}"
-        )
-
-
 def differential(f, psi) -> np.ndarray:
     """Differential df_A at psi, as 2n (dq..., dp...) components.
 
@@ -86,7 +79,7 @@ def differential(f, psi) -> np.ndarray:
     """
     f = _as_quadratic(f)
     psi = as_state(psi)
-    _check_dims(f, psi)
+    _require_fits(psi, f.operator)
     return _differential(f.operator, psi)
 
 
@@ -131,20 +124,24 @@ def symplectic_Omega(df, dg):
     return _value(-0.5 * (_dot(fq, gp) - _dot(fp, gq)))
 
 
-def poisson_bracket(fA, fB, psi) -> float:
-    """{f_A, f_B}(psi) = Omega(df_A, df_B); equals f_{i(AB-BA)}(psi)."""
+def _differentials(fA, fB, psi) -> tuple[np.ndarray, np.ndarray]:
+    """df_A and df_B at psi, with psi checked once."""
     fA, fB = _as_quadratic(fA), _as_quadratic(fB)
     if fA.dim != fB.dim:
         raise ValueError("operators have mismatched dimensions")
-    return symplectic_Omega(differential(fA, psi), differential(fB, psi))
+    psi = as_state(psi)
+    _require_fits(psi, fA.operator)
+    return _differential(fA.operator, psi), _differential(fB.operator, psi)
+
+
+def poisson_bracket(fA, fB, psi) -> float:
+    """{f_A, f_B}(psi) = Omega(df_A, df_B); equals f_{i(AB-BA)}(psi)."""
+    return symplectic_Omega(*_differentials(fA, fB, psi))
 
 
 def jordan_bracket(fA, fB, psi) -> float:
     """{f_A, f_B}_+(psi) = G(df_A, df_B); equals f_{(AB+BA)/2}(psi)."""
-    fA, fB = _as_quadratic(fA), _as_quadratic(fB)
-    if fA.dim != fB.dim:
-        raise ValueError("operators have mismatched dimensions")
-    return metric_G(differential(fA, psi), differential(fB, psi))
+    return metric_G(*_differentials(fA, fB, psi))
 
 
 def hamiltonian_vector_field(f, psi) -> np.ndarray:
@@ -155,17 +152,14 @@ def hamiltonian_vector_field(f, psi) -> np.ndarray:
     """
     f = _as_quadratic(f)
     psi = as_state(psi)
-    _check_dims(f, psi)
+    _require_fits(psi, f.operator)
     w = f.operator @ psi
     return np.concatenate([w.imag, -w.real])
 
 
 def homogeneous_expectation(A, psi) -> float:
     """Ray function <psi|A|psi> / <psi|psi>, invariant under psi -> c psi."""
-    psi = as_state(psi)
-    n2 = norm_sq(psi)
-    if n2 <= NORM_SQ_FLOOR:
-        raise ValueError("homogeneous expectation undefined near the zero vector")
+    psi, n2 = _nonzero_state(psi)
     return expectation_value(A, psi) / n2
 
 
@@ -178,10 +172,7 @@ def projective_metric_length(H, psi) -> float:
     squared Zeno time) and is invariant under rescaling of psi.
     """
     f_H = QuadraticFunction(H)
-    psi = as_state(psi)
-    n2 = norm_sq(psi)
-    if n2 <= NORM_SQ_FLOOR:
-        raise ValueError("projective length undefined near the zero vector")
+    psi, n2 = _nonzero_state(psi)
     d_fH = differential(f_H, psi)
     d_norm = 2.0 * to_chart(psi)
     ftilde = f_H(psi) / n2

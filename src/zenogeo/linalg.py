@@ -16,7 +16,7 @@ NORMALIZED_TOL = 1e-12
 #: Variance below this is treated as zero (the state is an eigenvector for
 #: all practical purposes) and the Zeno time becomes infinite.
 VARIANCE_FLOOR = 1e-14
-#: Squared norms below this are rejected by the homogeneous formulas.
+#: States with |psi|^2 at or below this have no ray: _nonzero_state rejects them.
 NORM_SQ_FLOOR = 1e-14
 #: Operators whose dimension n times their largest real or imaginary part
 #: exceeds this are rejected: the bound keeps |A psi|^2 and the variance
@@ -64,11 +64,33 @@ def norm_sq(psi):
     return _value(np.real(_dot(psi.conj(), psi)))
 
 
-def normalize(psi) -> np.ndarray:
+def _nonzero_state(psi) -> tuple[np.ndarray, float]:
+    """as_state(psi) and |psi|^2, above NORM_SQ_FLOOR: the one zero-state
+    rule of the ray functions."""
     psi = as_state(psi)
     n2 = norm_sq(psi)
     if n2 <= NORM_SQ_FLOOR:
-        raise ValueError("cannot normalize a (near-)zero vector")
+        raise ValueError(f"state is (near-)zero: |psi|^2 = {n2:.3e} <= {NORM_SQ_FLOOR:.0e}")
+    return psi, n2
+
+
+def _require_fits(psi: np.ndarray, A: np.ndarray) -> None:
+    """Raise unless A acts on psi: an (n, n) A on an (n,) psi, or a stack
+    A (..., n, n) on psi (..., n).  The one state-operator shape rule."""
+    if psi.ndim == 0 or A.ndim < 2 or A.shape[-2:] != (psi.shape[-1],) * 2:
+        raise ValueError(f"dimension mismatch: state has shape {psi.shape}, operator {A.shape}")
+
+
+def _require_count(value, what: str) -> int:
+    """int(value), at least 1: the one rule for counts."""
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    return n
+
+
+def normalize(psi) -> np.ndarray:
+    psi, n2 = _nonzero_state(psi)
     return psi / math.sqrt(n2)
 
 
@@ -178,10 +200,7 @@ def _eigen(psi0, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     normalized state psi0 of the same dimension."""
     psi0 = require_normalized(psi0)
     H = require_hermitian(H)
-    if H.shape[0] != psi0.size:
-        raise ValueError(
-            f"dimension mismatch: state has dim {psi0.size}, operator {H.shape[0]}"
-        )
+    _require_fits(psi0, H)
     return (*np.linalg.eigh(H), psi0)
 
 
@@ -199,10 +218,7 @@ def expectation_value(A, psi):
     """
     psi = np.asarray(psi, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
-    if psi.ndim == 0 or A.ndim < 2 or A.shape[-2:] != (psi.shape[-1],) * 2:
-        raise ValueError(
-            f"dimension mismatch: state has shape {psi.shape}, operator {A.shape}"
-        )
+    _require_fits(psi, A)
     return _value(np.real(_dot(psi.conj(), (A @ psi[..., None])[..., 0])))
 
 
@@ -256,11 +272,9 @@ def variance(H, psi) -> float:
     The explicit norms make the value depend only on the ray of psi, so the
     input need not be normalized.
     """
-    psi = as_state(psi)
+    psi, n2 = _nonzero_state(psi)
     H = require_hermitian(H)
-    n2 = norm_sq(psi)
-    if n2 <= NORM_SQ_FLOOR:
-        raise ValueError("variance undefined for a (near-)zero vector")
+    _require_fits(psi, H)
     Hpsi = H @ psi
     mean = float(np.real(np.vdot(psi, Hpsi))) / n2
     second = float(np.real(np.vdot(Hpsi, Hpsi))) / n2

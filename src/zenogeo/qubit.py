@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    NORM_SQ_FLOOR,
     _hermitian_eigh,
+    _nonzero_state,
     _propagator,
+    _require_count,
     as_state,
-    norm_sq,
     require_hermitian,
     zeno_time_of_variance,
 )
@@ -118,12 +118,8 @@ def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     """Zeno time from the cross product: tau^{-2} = |h x r|^2 / |r|^2
     with r the Bloch vector.  The offset h0 drops out; parallel h and r
     (an eigenstate) give an infinite Zeno time."""
-    psi = as_state(psi)
-    if psi.size != 2:
-        raise ValueError(f"expected a two-component state, got dim {psi.size}")
-    if norm_sq(psi) <= NORM_SQ_FLOOR:
-        raise ValueError("Zeno time undefined for a (near-)zero vector")
     b = bloch_map(psi)
+    _nonzero_state(psi)
     r = np.array([b.x, b.y, b.z])
     cross = np.cross(hq.field, r)
     return zeno_time_of_variance(float(cross @ cross) / float(r @ r))
@@ -157,9 +153,7 @@ def integrate_zeno_flow(
     (h0 + hz) t is not finite.
     """
     require_on_sphere(start)
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _require_count(samples, "samples")
     w = zeno_rotation_rate(hq)
     angle = w * float(t)
     if not math.isfinite(angle):

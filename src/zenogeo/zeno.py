@@ -16,6 +16,8 @@ from .linalg import (
     PROJECTOR_TOL,
     _hermitian_eigh,
     _propagator,
+    _require_count,
+    _require_fits,
     as_state,
     require_hermitian,
     require_projector,
@@ -74,8 +76,7 @@ class ZenoSetup:
         if self.initial_state is None:
             return
         psi0 = as_state(self.initial_state)
-        if psi0.size != H.shape[0]:
-            raise ValueError(f"dimension mismatch: H {H.shape[0]}, state {psi0.size}")
+        _require_fits(psi0, H)
         resid = float(np.linalg.norm(P @ psi0 - psi0))
         if resid > PROJECTOR_TOL:
             raise ValueError(
@@ -133,9 +134,7 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
     Computed as Q S_N^N Q^dagger in the measured subspace (see ZenoSetup).
     The result is a contraction.
     """
-    N = int(N)
-    if N < 1:
-        raise ValueError("measurement count N must be >= 1")
+    N = _require_count(N, "measurement count N")
     Q = setup.basis
     return Q @ _step_power(setup, t, N, N) @ Q.conj().T
 
@@ -213,12 +212,8 @@ def measured_trajectory(
     """
     if setup.initial_state is None:
         raise ValueError("measured_trajectory needs a setup with an initial state")
-    N = int(N)
-    samples = int(samples)
-    if N < 1:
-        raise ValueError("measurement count N must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    N = _require_count(N, "measurement count N")
+    samples = _require_count(samples, "samples")
     if N % samples != 0:
         raise ValueError(
             f"samples = {samples} is not commensurate with N = {N}: choose "

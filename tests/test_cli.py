@@ -1225,3 +1225,15 @@ class TestSpecFuzz:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_spec_exits_cleanly(self, argv, spec_files, capsys):
         assert_clean_exit([spec_files.get(a, a) for a in argv], capsys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_hermitian_is_the_halved_complex_sum(seed):
+    # The part-by-part build of random:n and brackets against the complex
+    # formula (R + R^H) / 2 on two (n, n) draws, bit for bit.
+    for n in range(1, 17):
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = 0.5 * (R + R.conj().T)
+        got = cli._random_hermitian(np.random.default_rng(seed), n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

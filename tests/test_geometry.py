@@ -491,3 +491,9 @@ class TestProjectiveLayer:
         checked = record_calls(linalg.require_hermitian)
         projective_metric_length(SIGMA_X, np.array([0.6, 0.8j]))
         assert len(checked) == 1
+
+
+@pytest.mark.parametrize("bracket", [poisson_bracket, jordan_bracket])
+def test_brackets_reject_operators_of_different_dimensions(bracket):
+    with pytest.raises(ValueError, match="^operators have mismatched dimensions$"):
+        bracket(SIGMA_X, np.eye(3), E1)

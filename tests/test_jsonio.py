@@ -427,3 +427,9 @@ def test_file_reads_as_utf_8_in_the_c_locale(data, want, tmp_path):
     proc = run_python(code, str(path), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(want), proc.stdout
+
+
+@pytest.mark.parametrize("psi", [np.eye(2), np.complex128(1.0)], ids=["2-D", "scalar"])
+def test_state_to_dict_rejects_a_non_vector(psi):
+    with pytest.raises(ValueError, match="^expected a 1-D state vector$"):
+        jsonio.state_to_dict(psi)

@@ -570,3 +570,23 @@ def test_import_needs_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestAsState:
+    @pytest.mark.parametrize("psi", [np.eye(2), np.zeros(0), 1.0], ids=["2-D", "empty", "scalar"])
+    def test_rejects_a_non_vector(self, psi):
+        with pytest.raises(ValueError, match=r"^state must be a non-empty 1-D vector, got shape"):
+            linalg.as_state(psi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="^state contains non-finite entries$"):
+            linalg.as_state([1.0, bad])
+
+
+def test_short_time_fit_that_is_not_quadratic_raises(monkeypatch):
+    # p = 1 - |t| decays linearly: (1 - p) / t^2 = 1/t grows at every
+    # level of the tableau, which then does not settle.
+    monkeypatch.setattr(linalg, "_probabilities", lambda E, V, psi0, t: 1.0 - np.abs(t))
+    with pytest.raises(ExtrapolationError, match="did not converge"):
+        short_time_coefficient(E1, SIGMA_X)
