@@ -326,15 +326,7 @@ def handle_converge(args) -> int:
         ladder.append(ladder[-1] * 2)
     with _charged_to("--t"):
         points = zeno.convergence_scan(setup, args.t, ladder)
-    # Every rung obeys |V_N - U_Z|_2 <= t^2 |R|_2^2 / (2N) with
-    # R = HQ - QA: one measured step is within tau^2 |R|_2^2 / 2 of
-    # exp(-iA tau), and the N steps telescope.  leakage = |R|_F >= |R|_2,
-    # so t^2 leakage^2 / 2 bounds N |V_N - U_Z| at every N, not only as
-    # N -> infinity.  At or below EXACT_TOL the limit is exact at every rung
-    # and every error in the scan is roundoff.
-    tl = abs(args.t) * setup.leakage
-    exact = tl * tl / 2 <= zeno.EXACT_TOL
-    slope = None if exact else zeno.fit_convergence_slope(points)
+    slope = zeno.fit_convergence_slope(points)
     slope_label = "exact" if slope is None else _fmt(slope)
     rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
     _emit_table(

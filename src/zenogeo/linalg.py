@@ -66,9 +66,15 @@ def norm_sq(psi):
 
 def _nonzero_state(psi) -> tuple[np.ndarray, float]:
     """as_state(psi) and |psi|^2, above NORM_SQ_FLOOR: the one zero-state
-    rule of the ray functions."""
+    rule of the ray functions.  A psi whose |psi|^2 overflows (to inf, or
+    to nan where the complex dot meets inf - inf) is divided by its
+    largest real or imaginary part, a rescaling within its ray."""
     psi = as_state(psi)
-    n2 = norm_sq(psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = norm_sq(psi)
+    if not math.isfinite(n2):
+        psi /= abs(psi.view(np.float64)).max()
+        n2 = norm_sq(psi)
     if n2 <= NORM_SQ_FLOOR:
         raise ValueError(f"state is (near-)zero: |psi|^2 = {n2:.3e} <= {NORM_SQ_FLOOR:.0e}")
     return psi, n2

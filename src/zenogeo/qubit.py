@@ -30,6 +30,7 @@ from .linalg import (
     _nonzero_state,
     _propagator,
     _require_count,
+    _require_finite_phases,
     as_state,
     require_hermitian,
     zeno_time_of_variance,
@@ -118,8 +119,7 @@ def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     """Zeno time from the cross product: tau^{-2} = |h x r|^2 / |r|^2
     with r the Bloch vector.  The offset h0 drops out; parallel h and r
     (an eigenstate) give an infinite Zeno time."""
-    b = bloch_map(psi)
-    _nonzero_state(psi)
+    b = bloch_map(_nonzero_state(psi)[0])
     r = np.array([b.x, b.y, b.z])
     cross = np.cross(hq.field, r)
     return zeno_time_of_variance(float(cross @ cross) / float(r @ r))
@@ -149,15 +149,13 @@ def integrate_zeno_flow(
     The flow is a rigid rotation: u and z are copied from start and
     x + iy = (x0 + i y0) exp(i (h0 + hz) t_k), each sample computed from its
     own t_k, so the cost grows with samples only and the radius |(x, y)|
-    holds to roundoff at any angle.  Raises ValueError when the angle
-    (h0 + hz) t is not finite.
+    holds to roundoff at any angle.  Raises ValueError, through the one
+    time check, when the phase |h0 + hz| |t| is not finite.
     """
     require_on_sphere(start)
     samples = _require_count(samples, "samples")
     w = zeno_rotation_rate(hq)
-    angle = w * float(t)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle (h0 + hz) t = {angle!r} is not finite")
+    _require_finite_phases(np.array([w]), t)
     ts = np.linspace(0.0, t, samples + 1)
     xy = complex(start.x, start.y) * np.exp(1j * (w * ts))
     return [BlochPoint(start.u, c.real, c.imag, start.z) for c in xy.tolist()]

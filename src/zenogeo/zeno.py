@@ -23,7 +23,8 @@ from .linalg import (
     require_projector,
 )
 
-#: Scan errors below this are reported as exactly converged ("exact").
+#: A scan bound (t leakage)^2 / 2 at or below this is an exact limit, and
+#: so are scan errors at or below it: fit_convergence_slope gives None.
 EXACT_TOL = 1e-12
 
 
@@ -48,7 +49,8 @@ class ZenoSetup:
     orthogonal projector QQ^dagger, with |QQ^dagger - P|_F <= PROJECTOR_TOL.
     ``leakage`` is |HQ - Q Q^dagger H Q|_F = |(I - P) H P|_F, how far H
     moves range P out of itself: for a rank-one P = |psi><psi| its square
-    is the variance of H in psi, 1/tau_Z^2.
+    is the variance of H in psi, 1/tau_Z^2.  convergence_scan reads it to
+    tell an exact limit.
 
     The constructor, the one way to build a setup, checks H and P once
     each and keeps the checked copies.  Setups compare and hash by identity.
@@ -163,7 +165,11 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     taken in the measured subspace, on S_N^N - exp(-i Q^dagger H Q t): the
     isometry Q leaves either norm of V_N - exp(-i PHP t) P unchanged.  The
     limit comes from the eigenpairs of the r x r compression, in closed
-    form at rank one (see linalg._hermitian_eigh).
+    form at rank one (see linalg._hermitian_eigh).  Each rung obeys
+    |V_N - U_Z|_2 <= t^2 |R|_2^2 / (2N), R = HQ - QA: one step is within
+    tau^2 |R|_2^2 / 2 of exp(-iA tau), and N steps telescope.  As
+    leakage = |R|_F >= |R|_2, when (t leakage)^2 / 2 <= EXACT_TOL the limit
+    is exact, and each rung whose phases pass the check reports (N, 0, 0).
     """
     Ns = [int(N) for N in N_values]
     if not Ns:
@@ -172,19 +178,20 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
         raise ValueError("N_values must be ascending positive integers")
     A = setup.compression
     UZ = _propagator(*_hermitian_eigh(A), float(t))
+    tl = abs(float(t)) * setup.leakage
+    exact = tl * tl / 2 <= EXACT_TOL
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ
-        points.append(
-            ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff)))
-        )
+        errors = (0.0, 0.0) if exact else (np.linalg.norm(diff, 2), np.linalg.norm(diff))
+        points.append(ScanPoint(N, *map(float, errors)))
     return points
 
 
 def fit_convergence_slope(points: list[ScanPoint]) -> float | None:
-    """Least-squares slope of log error vs log N; None when the scan sits
-    at roundoff (errors all below EXACT_TOL, e.g. [H, P] = 0), nan when
-    fewer than two errors are usable."""
+    """Least-squares slope of log error vs log N; None when every error is
+    at most EXACT_TOL (an exact limit, such as [H, P] = 0, scans to zeros),
+    nan when fewer than two errors are usable."""
     if all(p.error_spectral <= EXACT_TOL for p in points):
         return None
     logs = [

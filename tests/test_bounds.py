@@ -26,6 +26,9 @@ Tolerances, measured over 5000 seeded draws of each kind with n <= 8:
     err_N / bound was 0.9999995: the bound is tight, and no error exceeded
     it.  A rung may exceed it by ROUNDOFF_NEPS N eps, the order of the
     roundoff of N powered steps, at most 1% of the bound on a checked rung.
+    An exact setup (P = I, or H block-diagonal in a basis adapted to P)
+    obeys the bound on every rung with no allowance: its bound is the
+    roundoff of |R|_2^2, and the scan reports its errors as 0.
 """
 import contextlib
 import io
@@ -130,3 +133,29 @@ def test_every_rung_obeys_the_one_over_n_bound(draw, t):
         # Below this the bound nears the roundoff of N powered steps.
         if c / N >= CHECKED_NEPS * N * EPS:
             assert err <= c / N + ROUNDOFF_NEPS * N * EPS, (N, err, c / N)
+
+
+@given(draws, st.floats(0.1, 3.0), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_exact_setups_obey_the_bound_on_every_rung(draw, t, identity):
+    n, seed = draw
+    rng = np.random.default_rng(seed)
+    if identity:
+        H, P = random_hermitian(rng, n), np.eye(n)
+    else:
+        # H = U diag(B, C) U^dagger, P = U diag(I_r, 0) U^dagger: [H, P] = 0
+        # up to the roundoff of the basis change.
+        r = int(rng.integers(1, n + 1))
+        U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        B = np.zeros((n, n), dtype=np.complex128)
+        B[:r, :r] = random_hermitian(rng, r)
+        B[r:, r:] = random_hermitian(rng, n - r)
+        H = U @ B @ U.conj().T
+        H = 0.5 * (H + H.conj().T)
+        P = U[:, :r] @ U[:, :r].conj().T
+    setup = zeno.ZenoSetup(H, P)
+    Q, A = setup.basis, setup.compression
+    c = t * t * np.linalg.norm(H @ Q - Q @ A, 2) ** 2 / 2
+    scanned = [(p.n_measurements, p.error_spectral) for p in zeno.convergence_scan(setup, t, LADDER)]
+    for N, err in scanned + printed_rungs(H, P, t):
+        assert err <= c / N, (N, err, c / N)

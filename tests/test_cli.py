@@ -120,6 +120,15 @@ class TestZenoTime:
         assert assert_clean_usage_error(argv, "--state", capsys) == "--state"
 
 
+    def test_state_whose_norm_overflows_is_rescaled(self, tmp_path, capsys):
+        # |psi|^2 = 1e400 overflows; the state is divided by its largest
+        # part, so it stands for the ray of e1, with no warning.
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 2, "re": [1e200, 0], "im": [0, 0]}')
+        argv = ["zeno-time", "--hamiltonian", "sigma_x", "--state", str(path)]
+        assert run_clean(argv, capsys) == (0, "variance,tau_z\n1,1\n", "")
+
+
 class TestConverge:
     def test_rank_one_preset_final_error_and_slope(self, capsys):
         code, out, _ = run_cli(
@@ -162,6 +171,31 @@ class TestConverge:
         code, out, _ = run_cli(["converge", "--hamiltonian", *args], capsys)
         assert code == 0
         assert trailer_lines(out) == ["# slope exact"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_limit_prints_zero_errors(self, fmt, capsys):
+        # P = I: the limit is exact, and every error cell is 0, not the
+        # roundoff of up to 2^20 powered steps.
+        argv = ["converge", "--hamiltonian", "random:6", "--projector", "identity",
+                "--n-max", "1048576", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["slope"] == "exact"
+            cells = [[row["error_spectral"], row["error_frobenius"]] for row in doc["rows"]]
+            assert cells == [[0.0, 0.0]] * 18
+        else:
+            lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+            assert [l.split(",")[1:] for l in lines[1:]] == [["0", "0"]] * 18
+            assert trailer_lines(out) == ["# slope exact"]
+
+    def test_exact_limit_still_checks_the_time(self, capsys):
+        # The scan runs its finite-phase checks before it tells an exact
+        # limit: |E| t overflows at t = 1e308.
+        argv = ["converge", "--hamiltonian", "random:6", "--projector", "identity",
+                "--t", "1e308", "--n-max", "8"]
+        assert assert_clean_usage_error(argv, "--t", capsys) == "--t"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("hamiltonian,label", [("sigma_x", "nan"), ("sigma_z", "exact")])
@@ -351,6 +385,13 @@ class TestFlow:
         code, _, err = run_clean(["flow", *argv, "--start", "1,1,1,1", "--t", "1"], capsys)
         assert code == 2
         assert charged_field(err) == flag
+
+    def test_overflowing_phase_is_the_one_time_check(self, capsys):
+        code, _, err = run_clean(
+            ["flow", "--hz", "1e300", "--start", "equator", "--t", "1e300"], capsys
+        )
+        assert code == 2
+        assert err == "error: --t: phase max|E| max|t| = inf is not finite\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -617,6 +658,14 @@ def test_cli_reads_no_private_library_name():
         and node.attr.startswith("_")
     }
     assert used <= allowed, used - allowed
+
+
+def test_cli_holds_no_exact_limit_rule():
+    """converge prints what zeno.convergence_scan and fit_convergence_slope
+    report: the exact-limit rule is written once, in zeno."""
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    assert "leakage" not in source
+    assert "EXACT_TOL" not in source
 
 
 def per_cell_csv(header, rows, trailer):

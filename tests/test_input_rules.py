@@ -1,6 +1,9 @@
 """One copy of each input rule: every public call that takes a state, a
 state and an operator, or a count rejects a bad one with the same
 message, raised by one private helper in ``linalg``."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,31 @@ def test_ray_functions_share_the_zero_state_message(call):
 def test_ray_functions_accept_a_state_above_the_floor(call):
     # |psi|^2 = 2e-12, a hundred times the floor: a ray like any other.
     call(np.full(2, 1e-6 + 0j))
+
+
+#: The ray functions and zeno_time, which reads its ray through variance.
+RAY_VALUES = {**RAY_FUNCTIONS, "zeno_time": lambda psi: linalg.zeno_time(psi, SIGMA_X)}
+
+
+@pytest.mark.parametrize("ray", [[1.0, 1.0j], [1.0 + 1.0j, 1.0 - 1.0j]], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", RAY_VALUES.values(), ids=RAY_VALUES.keys())
+def test_a_state_whose_norm_overflows_gives_its_ray(call, ray):
+    # |1e200 ray|^2 overflows, to inf, or to nan where an entry has both
+    # parts huge.  The state is divided by its largest part, 1e200, to the
+    # bits of ray, with no warning, and gives the value of the unit ray.
+    ray = np.array(ray)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(1e200 * ray)
+    np.testing.assert_array_equal(got, call(ray))
+    unit = ray / np.linalg.norm(ray)
+    np.testing.assert_allclose(got, call(unit), rtol=1e-15, atol=1e-15)
+
+
+def test_a_state_whose_norm_is_finite_keeps_its_bits():
+    # |psi|^2 = 1e308 is finite: no rescaling.
+    psi = np.array([1e154, 3e-300j])
+    np.testing.assert_array_equal(linalg.normalize(psi), psi / math.sqrt(linalg.norm_sq(psi)))
 
 
 def test_variance_checks_the_dimensions():
@@ -95,3 +123,11 @@ ZERO_COUNTS = {
 def test_counts_below_one_are_rejected(call, what):
     with pytest.raises(ValueError, match=rf"^{what} must be >= 1, got 0$"):
         call()
+
+
+def test_the_flow_checks_its_time_with_the_one_time_check(record_calls):
+    seen = record_calls(linalg._require_finite_phases)
+    equator = qubit.BlochPoint(1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^phase max\|E\| max\|t\| = inf is not finite$"):
+        qubit.integrate_zeno_flow(qubit.QubitHamiltonian(0.0, 0.0, 0.0, 1e300), equator, 1e300, 4)
+    assert [list(E) for E in seen] == [[1e300]]

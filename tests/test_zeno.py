@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_rank_projector, random_state
-from zenogeo import linalg, zeno
+from zenogeo import cli, linalg, qubit, zeno
 from zenogeo.linalg import SIGMA_X, SIGMA_Z
 from zenogeo.zeno import (
     ZenoSetup,
@@ -367,6 +367,39 @@ class TestConvergenceScan:
         setup = ZenoSetup(SIGMA_Z, P1, E1)
         points = convergence_scan(setup, 1.0, [2, 8, 32])
         assert all(p.error_spectral <= 1e-12 for p in points)
+        assert fit_convergence_slope(points) is None
+
+    @pytest.mark.parametrize(
+        "H,P,t",
+        [
+            (cli._random_hermitian(np.random.default_rng(0), 6), np.eye(6), 1.0),
+            (qubit.QubitHamiltonian(0.3, 0.0, 0.0, 2.7).matrix(), P1, 5.0),
+        ],
+        ids=["random6-identity", "qubit-e1"],
+    )
+    def test_exact_limit_scans_to_zeros(self, H, P, t):
+        # [H, P] = 0, so V_N is its limit at every N.  The subtraction
+        # would leave the roundoff of N powered steps, about 1e-9 and
+        # 1e-12 at N = 2^20, and a fitted slope near +1.
+        points = convergence_scan(ZenoSetup(H, P), t, [2**k for k in range(3, 21)])
+        assert len(points) == 18
+        assert all(p.error_spectral == 0.0 and p.error_frobenius == 0.0 for p in points)
+        assert fit_convergence_slope(points) is None
+
+    @pytest.mark.parametrize("eps,exact", [(1e-6, True), (2e-6, False)])
+    def test_the_bound_decides_an_exact_limit(self, eps, exact):
+        # H = sigma_z + eps sigma_x leaks |R|_F = eps out of range e1, so
+        # (t leakage)^2 / 2 at t = 1 is 5e-13 (at most EXACT_TOL = 1e-12)
+        # or 2e-12 (above it).  Above it the scan reports the errors, each
+        # within the bound t^2 eps^2 / (2N) and the roundoff of N steps.
+        setup = ZenoSetup(SIGMA_Z + eps * SIGMA_X, P1)
+        points = convergence_scan(setup, 1.0, [8, 16])
+        for p in points:
+            N = p.n_measurements
+            if exact:
+                assert (p.error_spectral, p.error_frobenius) == (0.0, 0.0)
+            else:
+                assert 0.0 < p.error_spectral <= eps * eps / (2 * N) + 10 * N * 2.0**-52
         assert fit_convergence_slope(points) is None
 
     def test_single_usable_error_gives_nan_slope(self):
