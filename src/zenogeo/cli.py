@@ -321,23 +321,21 @@ def handle_converge(args) -> int:
     inputs = ("--hamiltonian", linalg.require_hermitian, H), ("--projector", linalg.require_projector, P)
     with _charged_to("--projector", *inputs):
         setup = zeno.ZenoSetup(H, P)
-    ladder = [8]
-    while ladder[-1] < n_max:
-        ladder.append(ladder[-1] * 2)
+    ladder = [2**k for k in range(3, n_max.bit_length())]
     with _charged_to("--t"):
         points = zeno.convergence_scan(setup, args.t, ladder)
     slope = zeno.fit_convergence_slope(points)
-    slope_label = "exact" if slope is None else _fmt(slope)
+    slope, label = ("exact", "exact") if slope is None else (slope, _fmt(slope))
     rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
     _emit_table(
         args,
         ["N", "error_spectral", "error_frobenius"],
         rows,
-        trailer=[f"slope {slope_label}"],
-        extra={"slope": "exact" if slope is None else slope},
+        trailer=[f"slope {label}"],
+        extra={"slope": slope},
     )
     if args.out is not None:
-        print(f"slope {slope_label}")
+        print(f"slope {label}")
     return 0
 
 

@@ -17,14 +17,15 @@ from .linalg import (
     _hermitian_eigh,
     _propagator,
     _require_count,
+    _require_finite_phases,
     _require_fits,
     as_state,
     require_hermitian,
     require_projector,
 )
 
-#: A scan bound (t leakage)^2 / 2 at or below this is an exact limit, and
-#: so are scan errors at or below it: fit_convergence_slope gives None.
+#: A scan bound (t leakage)^2 / 2 at or below this is an exact limit:
+#: convergence_scan, its one reader, reports every rung as (N, 0, 0).
 EXACT_TOL = 1e-12
 
 
@@ -169,30 +170,31 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     |V_N - U_Z|_2 <= t^2 |R|_2^2 / (2N), R = HQ - QA: one step is within
     tau^2 |R|_2^2 / 2 of exp(-iA tau), and N steps telescope.  As
     leakage = |R|_F >= |R|_2, when (t leakage)^2 / 2 <= EXACT_TOL the limit
-    is exact, and each rung whose phases pass the check reports (N, 0, 0).
+    is exact: once the limit's phases and the first rung's, the largest,
+    pass the check, every rung reports (N, 0, 0), and no S_N^N is formed.
     """
-    Ns = [int(N) for N in N_values]
+    Ns = [_require_count(N, "measurement count N") for N in N_values]
     if not Ns:
         raise ValueError("N_values must be non-empty")
-    if any(N < 1 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("N_values must be ascending positive integers")
-    A = setup.compression
-    UZ = _propagator(*_hermitian_eigh(A), float(t))
+    if any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("N_values must be ascending")
+    UZ = _propagator(*_hermitian_eigh(setup.compression), float(t))
     tl = abs(float(t)) * setup.leakage
-    exact = tl * tl / 2 <= EXACT_TOL
+    if tl * tl / 2 <= EXACT_TOL:
+        _require_finite_phases(setup.energies, float(t) / Ns[0])
+        return [ScanPoint(N, 0.0, 0.0) for N in Ns]
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ
-        errors = (0.0, 0.0) if exact else (np.linalg.norm(diff, 2), np.linalg.norm(diff))
-        points.append(ScanPoint(N, *map(float, errors)))
+        points.append(ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff))))
     return points
 
 
 def fit_convergence_slope(points: list[ScanPoint]) -> float | None:
     """Least-squares slope of log error vs log N; None when every error is
-    at most EXACT_TOL (an exact limit, such as [H, P] = 0, scans to zeros),
-    nan when fewer than two errors are usable."""
-    if all(p.error_spectral <= EXACT_TOL for p in points):
+    0 (convergence_scan's exact limit, such as [H, P] = 0), nan when fewer
+    than two errors are usable."""
+    if all(p.error_spectral == 0.0 for p in points):
         return None
     logs = [
         (math.log(p.n_measurements), math.log(p.error_spectral))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenogeo import cli, geometry, jsonio, linalg, qubit
+from zenogeo import cli, geometry, jsonio, linalg, qubit, zeno
 from zenogeo.linalg import SIGMA_X
 
 
@@ -196,6 +196,30 @@ class TestConverge:
         argv = ["converge", "--hamiltonian", "random:6", "--projector", "identity",
                 "--t", "1e308", "--n-max", "8"]
         assert assert_clean_usage_error(argv, "--t", capsys) == "--t"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_errors_below_exact_tol_still_give_a_slope(self, fmt, capsys):
+        # sigma_x leaks |R|_F = 1 out of e1, so at t = 1.5e-6 the bound
+        # (t leakage)^2 / 2 = 1.125e-12 does not prove the limit exact: the
+        # four errors, each below 1e-12, halve per rung and fit a slope.
+        t, Ns = 1.5e-6, [8, 16, 32, 64]
+        argv = ["converge", "--hamiltonian", "sigma_x", "--projector", "e1",
+                "--t", str(t), "--n-max", "64", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(out)
+            rows = [[r["N"], r["error_spectral"], r["error_frobenius"]] for r in doc["rows"]]
+            slope = doc["slope"]
+        else:
+            _, rows = parse_csv(out)
+            (slope_line,) = trailer_lines(out)
+            slope = float(slope_line.split()[-1])
+        points = zeno.convergence_scan(zeno.ZenoSetup(SIGMA_X, np.diag([1.0, 0.0])), t, Ns)
+        assert rows == [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
+        for N, err, _ in rows:
+            assert 0.0 < err <= t * t / (2 * N) + 10 * N * 2.0**-52
+        assert isinstance(slope, float) and -1.5 < slope < -0.5
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("hamiltonian,label", [("sigma_x", "nan"), ("sigma_z", "exact")])
@@ -666,6 +690,19 @@ def test_cli_holds_no_exact_limit_rule():
     source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
     assert "leakage" not in source
     assert "EXACT_TOL" not in source
+
+
+def test_only_the_scan_reads_exact_tol():
+    """fit_convergence_slope reads the scan's zeros, not EXACT_TOL: the
+    bound in convergence_scan is the one exact-limit rule."""
+    tree = ast.parse(pathlib.Path(zeno.__file__).read_text(encoding="utf-8"))
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "EXACT_TOL" for n in ast.walk(fn))
+    }
+    assert readers == {"convergence_scan"}
 
 
 def per_cell_csv(header, rows, trailer):

@@ -377,11 +377,28 @@ class TestConvergenceScan:
         ],
         ids=["random6-identity", "qubit-e1"],
     )
-    def test_exact_limit_scans_to_zeros(self, H, P, t):
+    def test_exact_limit_scans_to_zeros(self, H, P, t, monkeypatch):
         # [H, P] = 0, so V_N is its limit at every N.  The subtraction
         # would leave the roundoff of N powered steps, about 1e-9 and
-        # 1e-12 at N = 2^20, and a fitted slope near +1.
-        points = convergence_scan(ZenoSetup(H, P), t, [2**k for k in range(3, 21)])
+        # 1e-12 at N = 2^20, and a fitted slope near +1.  The bound proves
+        # the limit exact, so the scan forms no S_N^N and takes no norm,
+        # where powering each rung would take 18 powers.
+        setup = ZenoSetup(H, P)
+        calls = []
+
+        def counting(name):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("matrix_power", "norm"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        points = convergence_scan(setup, t, [2**k for k in range(3, 21)])
+        assert calls == []
         assert len(points) == 18
         assert all(p.error_spectral == 0.0 and p.error_frobenius == 0.0 for p in points)
         assert fit_convergence_slope(points) is None
@@ -391,7 +408,9 @@ class TestConvergenceScan:
         # H = sigma_z + eps sigma_x leaks |R|_F = eps out of range e1, so
         # (t leakage)^2 / 2 at t = 1 is 5e-13 (at most EXACT_TOL = 1e-12)
         # or 2e-12 (above it).  Above it the scan reports the errors, each
-        # within the bound t^2 eps^2 / (2N) and the roundoff of N steps.
+        # within the bound t^2 eps^2 / (2N) and the roundoff of N steps,
+        # and they halve per rung: a slope, not an exact limit, however
+        # small the errors are.
         setup = ZenoSetup(SIGMA_Z + eps * SIGMA_X, P1)
         points = convergence_scan(setup, 1.0, [8, 16])
         for p in points:
@@ -400,7 +419,20 @@ class TestConvergenceScan:
                 assert (p.error_spectral, p.error_frobenius) == (0.0, 0.0)
             else:
                 assert 0.0 < p.error_spectral <= eps * eps / (2 * N) + 10 * N * 2.0**-52
-        assert fit_convergence_slope(points) is None
+        slope = fit_convergence_slope(points)
+        if exact:
+            assert slope is None
+        else:
+            assert -1.2 <= slope <= -0.8
+
+    def test_exact_limit_checks_the_first_rungs_phases(self):
+        # H = diag(1, 5e149) commutes with P = e1: the limit's one phase is
+        # t, finite at t = 1e160, but the first step's |E| t / 8 overflows.
+        setup = ZenoSetup(np.diag([1.0, 5e149]), P1)
+        with pytest.raises(ValueError, match="phase"):
+            convergence_scan(setup, 1e160, [8, 16])
+        points = convergence_scan(setup, 1e150, [8, 16])
+        assert [(p.error_spectral, p.error_frobenius) for p in points] == [(0.0, 0.0)] * 2
 
     def test_single_usable_error_gives_nan_slope(self):
         points = convergence_scan(sigma_x_setup(), 1.0, [8])
@@ -454,11 +486,17 @@ class TestConvergenceScan:
             assert abs(p.error_frobenius - np.linalg.norm(diff)) <= 1e-10
 
     def test_rejects_bad_ladders(self):
+        # The scan's three raise branches: empty, a count below 1 (the
+        # one count rule, linalg._require_count) and not ascending.
         setup = sigma_x_setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-empty"):
             convergence_scan(setup, 1.0, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="measurement count N must be >= 1, got 0"):
+            convergence_scan(setup, 1.0, [8, 0, 16])
+        with pytest.raises(ValueError, match="must be ascending"):
             convergence_scan(setup, 1.0, [8, 4])
+        with pytest.raises(ValueError, match="must be ascending"):
+            convergence_scan(setup, 1.0, [8, 16, 16])
 
 
 class TestMeasuredTrajectory:
