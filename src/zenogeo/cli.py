@@ -20,9 +20,10 @@ import numpy as np
 from . import geometry, jsonio, linalg, qubit, zeno
 
 BRACKET_TOL = 1e-8
-#: Work budget: the largest random:<n> dimension (16 MB per n x n complex
-#: matrix at the bound) and the largest --n-max.  Past N = 2^25 the ladder's
-#: errors sit at the roundoff floor and grow again with N.
+#: Work budget: the largest dimension of a random:<n> preset or an input
+#: file (16 MB per n x n complex matrix at the bound) and the largest
+#: --n-max.  Past N = 2^25 the ladder's errors sit at the roundoff floor
+#: and grow again with N.
 RANDOM_DIM_MAX = 1024
 N_MAX = 2**20
 #: Work budget of the row-per-sample commands: the largest --samples of
@@ -171,10 +172,10 @@ def _random_count(spec: str, what: str, most: int) -> int | None:
 
 
 def _load(spec: str, load, what: str, dim: int | None = None) -> np.ndarray:
-    """Read a jsonio file, of dimension dim when given, for the parser to
-    validate like a preset."""
+    """Read a jsonio file, of dimension at most RANDOM_DIM_MAX and dim when
+    given, for the parser to validate like a preset."""
     try:
-        value = load(spec)
+        value = load(spec, RANDOM_DIM_MAX)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {what} from {spec!r}: {exc}") from exc
     if dim is not None and len(value) != dim:

@@ -58,9 +58,10 @@ def matrix_to_dict(A) -> dict:
     return {"dim": A.shape[0], "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
-def _parts(payload: dict, plain: bool = False) -> tuple[int, np.ndarray]:
-    """dim and the complex entries of a payload; plain says that it was
-    decoded from text with a plain skeleton, so re and im hold numbers."""
+def _parts(payload: dict, plain: bool = False, dim_max: int | None = None) -> tuple[int, np.ndarray]:
+    """dim, at most dim_max when given, and the complex entries of a
+    payload; plain says that it was decoded from text with a plain
+    skeleton, so re and im hold numbers."""
     try:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
         # A string would reach numpy, a dict be scanned by its keys.
@@ -77,6 +78,8 @@ def _parts(payload: dict, plain: bool = False) -> tuple[int, np.ndarray]:
     # A JSON integer: 2.7, 1e400 and true are not dimensions.
     if type(dim) is not int or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if dim_max is not None and dim > dim_max:
+        raise ValueError(f"dim must be <= {dim_max}, got {dim}")
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError("re and im must be flat lists of equal length")
     # Parts assigned, not re + 1j * im: that loses the sign of a zero and
@@ -154,13 +157,13 @@ def _loads(path) -> tuple[object, bool]:
         raise ValueError("JSON nested too deeply") from exc
 
 
-def load_state(path) -> np.ndarray:
-    return _state(*_parts(*_loads(path)))
+def load_state(path, dim_max: int | None = None) -> np.ndarray:
+    return _state(*_parts(*_loads(path), dim_max))
 
 
 def save_matrix(path, A) -> None:
     Path(path).write_text(json.dumps(matrix_to_dict(A)), encoding="utf-8")
 
 
-def load_matrix(path) -> np.ndarray:
-    return _matrix(*_parts(*_loads(path)))
+def load_matrix(path, dim_max: int | None = None) -> np.ndarray:
+    return _matrix(*_parts(*_loads(path), dim_max))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     PROJECTOR_TOL,
+    _eigh,
     _hermitian_eigh,
     _propagator,
     _require_count,
@@ -51,7 +52,8 @@ class ZenoSetup:
     ``leakage`` is |HQ - Q Q^dagger H Q|_F = |(I - P) H P|_F, how far H
     moves range P out of itself: for a rank-one P = |psi><psi| its square
     is the variance of H in psi, 1/tau_Z^2.  convergence_scan reads it to
-    tell an exact limit.
+    tell an exact limit.  At full rank, Q = I: A is H, W is V and the
+    leakage is 0, with no product formed.
 
     The constructor, the one way to build a setup, checks H and P once
     each and keeps the checked copies.  Setups compare and hash by identity.
@@ -68,14 +70,15 @@ class ZenoSetup:
 
     def __post_init__(self):
         H, P, Q, HQ, A = _compression(self.hamiltonian, self.projector)
-        E, V = np.linalg.eigh(H)
+        E, V = _eigh(H)
+        full = A is H  # Q = I: _compression formed no product
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "projector", P)
         object.__setattr__(self, "basis", Q)
         object.__setattr__(self, "energies", E)
-        object.__setattr__(self, "overlaps", Q.conj().T @ V)
+        object.__setattr__(self, "overlaps", V if full else Q.conj().T @ V)
         object.__setattr__(self, "compression", A)
-        object.__setattr__(self, "leakage", float(np.linalg.norm(HQ - Q @ A)))
+        object.__setattr__(self, "leakage", 0.0 if full else float(np.linalg.norm(HQ - Q @ A)))
         if self.initial_state is None:
             return
         psi0 = as_state(self.initial_state)
@@ -94,11 +97,17 @@ class ZenoSetup:
 
 
 def _compression(H, P) -> tuple[np.ndarray, ...]:
-    """Checked H and P, the check's basis Q of range P, HQ and A = Q^dagger H Q."""
+    """Checked H and P, the check's basis Q of range P, HQ and A = Q^dagger H Q.
+
+    At full rank, where require_projector returns Q = I, HQ and A are H
+    itself, and no product with I is formed.
+    """
     H = require_hermitian(H)
     P, Q = require_projector(P)
     if H.shape != P.shape:
         raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
+    if Q.shape[1] == H.shape[0]:
+        return H, P, Q, H, H
     HQ = H @ Q
     return H, P, Q, HQ, Q.conj().T @ HQ
 
@@ -171,18 +180,21 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     tau^2 |R|_2^2 / 2 of exp(-iA tau), and N steps telescope.  As
     leakage = |R|_F >= |R|_2, when (t leakage)^2 / 2 <= EXACT_TOL the limit
     is exact: once the limit's phases and the first rung's, the largest,
-    pass the check, every rung reports (N, 0, 0), and no S_N^N is formed.
+    pass the check, every rung reports (N, 0, 0), and neither S_N^N nor
+    exp(-iAt) is formed.
     """
     Ns = [_require_count(N, "measurement count N") for N in N_values]
     if not Ns:
         raise ValueError("N_values must be non-empty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending")
-    UZ = _propagator(*_hermitian_eigh(setup.compression), float(t))
+    a, Z = _hermitian_eigh(setup.compression)
     tl = abs(float(t)) * setup.leakage
     if tl * tl / 2 <= EXACT_TOL:
+        _require_finite_phases(a, float(t))
         _require_finite_phases(setup.energies, float(t) / Ns[0])
         return [ScanPoint(N, 0.0, 0.0) for N in Ns]
+    UZ = _propagator(a, Z, float(t))
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ

@@ -1117,6 +1117,25 @@ class TestUsageErrors:
         assert err.strip() == "error: --hamiltonian: random dimension must be <= 1024, got 1025"
 
     @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["zeno-time", "--hamiltonian", "{}", "--state", "e1"], "--hamiltonian"),
+            (["zeno-time", "--hamiltonian", "sigma_x", "--state", "{}"], "--state"),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "{}", "--n-max", "8"], "--projector"),
+        ],
+        ids=["hamiltonian", "state", "projector"],
+    )
+    def test_file_dimension_budget(self, argv, flag, tmp_path, capsys):
+        # A file has the bound of random:n, checked before its entries are
+        # counted: one entry stands for the 1025^2 that the dim asks for.
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 1025, "re": [0], "im": [0]}')
+        code, _, err = run_clean([str(path) if a == "{}" else a for a in argv], capsys)
+        assert code == 2
+        assert charged_field(err) == flag
+        assert err.strip().endswith("dim must be <= 1024, got 1025")
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["flow", "--hz", "1", "--start", "equator", "--t", "1", "--samples", "100001"],

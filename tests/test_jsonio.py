@@ -96,6 +96,16 @@ class TestRejection:
         with pytest.raises(ValueError, match=match):
             jsonio.state_from_dict(json.loads(text))
 
+    @pytest.mark.parametrize("load", [jsonio.load_state, jsonio.load_matrix])
+    def test_dim_above_dim_max_rejected(self, load, tmp_path):
+        # Before the entry count: one entry would fail that check too.
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 3, "re": [0], "im": [0]}')
+        with pytest.raises(ValueError, match=r"^dim must be <= 2, got 3$"):
+            load(path, 2)
+        with pytest.raises(ValueError, match="entries"):
+            load(path, 3)
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
             jsonio.matrix_to_dict(np.ones((2, 3)))

@@ -124,6 +124,15 @@ class TestZenoSetup:
         # Q = I at identity, so the compression is H to the last bit.
         assert np.array_equal(ZenoSetup(H, np.eye(9)).compression, H)
 
+    def test_full_rank_forms_no_product_with_i(self):
+        # require_projector returns Q = I at identity: the compression is
+        # H itself, the overlaps are H's eigenvectors and nothing leaks.
+        H = random_hermitian(np.random.default_rng(16), 7)
+        setup = ZenoSetup(H, np.eye(7))
+        assert setup.compression is setup.hamiltonian
+        assert np.array_equal(setup.overlaps, np.linalg.eigh(setup.hamiltonian)[1])
+        assert setup.leakage == 0.0
+
     def test_rank_one_leakage_is_the_variance(self):
         # |(I - P) H psi|^2 = <H^2> - <H>^2 = 1/tau_Z^2 for P = |psi><psi|.
         rng = np.random.default_rng(14)
@@ -402,6 +411,16 @@ class TestConvergenceScan:
         assert len(points) == 18
         assert all(p.error_spectral == 0.0 and p.error_frobenius == 0.0 for p in points)
         assert fit_convergence_slope(points) is None
+
+    @pytest.mark.parametrize("eps,propagators", [(1e-6, 0), (2e-6, 3)])
+    def test_an_exact_limit_forms_no_propagator(self, eps, propagators, record_calls):
+        # The bound decides exactness before the limit exp(-iAt) is formed:
+        # an exact scan checks its phases on A's eigenvalues alone, where
+        # one that is not exact forms the limit and one step per rung.
+        setup = ZenoSetup(SIGMA_Z + eps * SIGMA_X, P1)
+        seen = record_calls(linalg._propagator)
+        convergence_scan(setup, 1.0, [8, 16])
+        assert len(seen) == propagators
 
     @pytest.mark.parametrize("eps,exact", [(1e-6, True), (2e-6, False)])
     def test_the_bound_decides_an_exact_limit(self, eps, exact):
