@@ -277,39 +277,41 @@ def parse_bloch_start(spec: str) -> qubit.BlochPoint:
 def handle_survival(args) -> int:
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
-    psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    with _charged_to("--hamiltonian"):
-        var = linalg.variance(H, psi0)
-    if args.t_max <= 0:
-        raise CliInputError("--t-max", f"must be > 0, got {args.t_max!r}")
-    if args.samples < 2:
-        raise CliInputError("--samples", f"must be >= 2, got {args.samples}")
-    if args.samples > SAMPLES_MAX:
-        raise CliInputError("--samples", f"must be <= {SAMPLES_MAX}, got {args.samples}")
-    if H.shape[0] * args.samples > SURVIVAL_WORK_MAX:
-        raise CliInputError(
-            "--samples",
-            f"dimension x samples = {H.shape[0]} x {args.samples} exceeds {SURVIVAL_WORK_MAX}",
-        )
-    ts = np.linspace(0.0, args.t_max, args.samples)
-    with _charged_to("--t-max"):
-        ps = linalg.survival_probability(psi0, H, ts)
-    # var * t * t, not t**2: a float ** that overflows raises, a product
-    # gives inf, and var = 0 never meets an inf (0 * inf is nan).
-    rows = [[t, p, 1.0 - var * t * t] for t, p in zip(ts.tolist(), ps.tolist())]
-    _emit_table(args, ["t", "p", "quadratic_approx"], rows)
-    return 0
+    with linalg.blas_threads(H.shape[0]):
+        psi0 = parse_state_spec(args.state, H.shape[0], rng)
+        with _charged_to("--hamiltonian"):
+            var = linalg.variance(H, psi0)
+        if args.t_max <= 0:
+            raise CliInputError("--t-max", f"must be > 0, got {args.t_max!r}")
+        if args.samples < 2:
+            raise CliInputError("--samples", f"must be >= 2, got {args.samples}")
+        if args.samples > SAMPLES_MAX:
+            raise CliInputError("--samples", f"must be <= {SAMPLES_MAX}, got {args.samples}")
+        if H.shape[0] * args.samples > SURVIVAL_WORK_MAX:
+            raise CliInputError(
+                "--samples",
+                f"dimension x samples = {H.shape[0]} x {args.samples} exceeds {SURVIVAL_WORK_MAX}",
+            )
+        ts = np.linspace(0.0, args.t_max, args.samples)
+        with _charged_to("--t-max"):
+            ps = linalg.survival_probability(psi0, H, ts)
+        # var * t * t, not t**2: a float ** that overflows raises, a product
+        # gives inf, and var = 0 never meets an inf (0 * inf is nan).
+        rows = [[t, p, 1.0 - var * t * t] for t, p in zip(ts.tolist(), ps.tolist())]
+        _emit_table(args, ["t", "p", "quadratic_approx"], rows)
+        return 0
 
 
 def handle_zeno_time(args) -> int:
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
-    psi0 = parse_state_spec(args.state, H.shape[0], rng)
-    with _charged_to("--hamiltonian"):
-        var = linalg.variance(H, psi0)
-    tau = linalg.zeno_time_of_variance(var)
-    _emit_table(args, ["variance", "tau_z"], [[var, tau]])
-    return 0
+    with linalg.blas_threads(H.shape[0]):
+        psi0 = parse_state_spec(args.state, H.shape[0], rng)
+        with _charged_to("--hamiltonian"):
+            var = linalg.variance(H, psi0)
+        tau = linalg.zeno_time_of_variance(var)
+        _emit_table(args, ["variance", "tau_z"], [[var, tau]])
+        return 0
 
 
 def handle_converge(args) -> int:
@@ -318,26 +320,27 @@ def handle_converge(args) -> int:
         raise CliInputError("--n-max", f"must be a power of two in 8..{N_MAX}, got {n_max}")
     rng = np.random.default_rng(args.seed)
     H = parse_hamiltonian_spec(args.hamiltonian, rng)
-    P = parse_projector_spec(args.projector, H.shape[0], rng)
-    inputs = ("--hamiltonian", linalg.require_hermitian, H), ("--projector", linalg.require_projector, P)
-    with _charged_to("--projector", *inputs):
-        setup = zeno.ZenoSetup(H, P)
-    ladder = [2**k for k in range(3, n_max.bit_length())]
-    with _charged_to("--t"):
-        points = zeno.convergence_scan(setup, args.t, ladder)
-    slope = zeno.fit_convergence_slope(points)
-    slope, label = ("exact", "exact") if slope is None else (slope, _fmt(slope))
-    rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
-    _emit_table(
-        args,
-        ["N", "error_spectral", "error_frobenius"],
-        rows,
-        trailer=[f"slope {label}"],
-        extra={"slope": slope},
-    )
-    if args.out is not None:
-        print(f"slope {label}")
-    return 0
+    with linalg.blas_threads(H.shape[0]):
+        P = parse_projector_spec(args.projector, H.shape[0], rng)
+        inputs = ("--hamiltonian", linalg.require_hermitian, H), ("--projector", linalg.require_projector, P)
+        with _charged_to("--projector", *inputs):
+            setup = zeno.ZenoSetup(H, P)
+        ladder = [2**k for k in range(3, n_max.bit_length())]
+        with _charged_to("--t"):
+            points = zeno.convergence_scan(setup, args.t, ladder)
+        slope = zeno.fit_convergence_slope(points)
+        slope, label = ("exact", "exact") if slope is None else (slope, _fmt(slope))
+        rows = [[p.n_measurements, p.error_spectral, p.error_frobenius] for p in points]
+        _emit_table(
+            args,
+            ["N", "error_spectral", "error_frobenius"],
+            rows,
+            trailer=[f"slope {label}"],
+            extra={"slope": slope},
+        )
+        if args.out is not None:
+            print(f"slope {label}")
+        return 0
 
 
 def handle_flow(args) -> int:

@@ -5,14 +5,19 @@ arrays; validation lives in the ``require_*`` / ``as_*`` helpers instead of
 wrapper classes.  Every function is pure and leaves its inputs untouched.
 
 BLAS threads: importing the module sets the OpenBLAS that numpy ships to
-one thread, process-wide, and records the count it had.  Every eigh of
-the package goes through _eigh, which gives an eigh of dimension
-PARALLEL_DIM or more the recorded count for the call.  The rule stands
-aside when the user sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS, and where numpy's BLAS has no OpenBLAS thread API.
+one thread, process-wide, and records the count it had.  blas_threads(n)
+gives a block of work on dimension n >= PARALLEL_DIM the recorded count
+and then puts back the count in force before it; every eigh of the
+package goes through _eigh, which runs in it, and the CLI runs a whole
+command on a Hamiltonian that large in it.  The count is a setting of
+the whole process: a large eigh must not run alongside BLAS work in
+other Python threads.  The rule stands aside when the user sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and where
+numpy's BLAS is not an OpenBLAS found in numpy's wheel directories.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -33,7 +38,7 @@ NORM_SQ_FLOOR = 1e-14
 #: finite.
 OPERATOR_SCALE_MAX = 1e150
 
-#: The smallest eigh dimension that runs on more than one BLAS thread:
+#: The smallest dimension whose work runs on more than one BLAS thread:
 #: the size from which a second thread saves 25% of the wall time, as it
 #: costs about twice the CPU time.  Medians of eigh wall time on a 2-core
 #: host, one thread -> two, each in its own process: n = 200 14.5 -> 13.7
@@ -70,13 +75,14 @@ def _openblas_api():
             get = getattr(lib, name % "get_num_threads", None)
             set_ = getattr(lib, name % "set_num_threads", None)
             if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
 
 
 def _one_blas_thread():
-    """Set OpenBLAS to one thread; return its setter and the count it had,
+    """Set OpenBLAS to one thread; return its API and the count it had,
     or (None, 1) where the user set a thread variable or there is no API."""
     api = None if any(v in os.environ for v in THREAD_VARIABLES) else _openblas_api()
     if api is None:
@@ -84,22 +90,34 @@ def _one_blas_thread():
     get, set_ = api
     threads = get()
     set_(1)
-    return set_, threads
+    return api, threads
 
 
-_set_blas_threads, _BLAS_THREADS = _one_blas_thread()
+_BLAS_API, _BLAS_THREADS = _one_blas_thread()
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block on the recorded BLAS thread count when n >=
+    PARALLEL_DIM, and afterwards, also when it raises, on the count in
+    force before it; without the rule, or below PARALLEL_DIM, change
+    nothing."""
+    if _BLAS_API is None or n < PARALLEL_DIM:
+        yield
+        return
+    get, set_ = _BLAS_API
+    before = get()
+    set_(_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(H), the one eigh call: on the recorded BLAS thread
-    count from n = PARALLEL_DIM, and on one thread again after it."""
-    if _set_blas_threads is None or H.shape[0] < PARALLEL_DIM:
+    """np.linalg.eigh(H), the one eigh call, under blas_threads(n)."""
+    with blas_threads(H.shape[0]):
         return np.linalg.eigh(H)
-    _set_blas_threads(_BLAS_THREADS)
-    try:
-        return np.linalg.eigh(H)
-    finally:
-        _set_blas_threads(1)
 
 
 def as_state(psi) -> np.ndarray:

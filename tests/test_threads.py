@@ -1,6 +1,7 @@
 """The BLAS thread rule of linalg: one OpenBLAS thread after import, the
-recorded count for an eigh of dimension PARALLEL_DIM or more, and nothing
-touched where the user set a thread variable or there is no OpenBLAS API."""
+recorded count for an eigh or a CLI command of dimension PARALLEL_DIM or
+more, and nothing touched where the user set a thread variable or there
+is no OpenBLAS API."""
 import json
 import os
 import pathlib
@@ -10,18 +11,18 @@ import sys
 import numpy as np
 import pytest
 
-from zenogeo import linalg
+from zenogeo import cli, linalg, zeno
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 API = linalg._openblas_api()
 needs_api = pytest.mark.skipif(API is None, reason="numpy's BLAS has no OpenBLAS thread API")
 
 # What a subprocess reports after import zenogeo: OpenBLAS's thread count,
-# the count the rule recorded and whether the rule holds a setter.
+# the count the rule recorded and whether the rule holds the API.
 REPORT = (
     "import json; import zenogeo; from zenogeo import linalg; "
     "get = linalg._openblas_api()[0]; "
-    "print(json.dumps([get(), linalg._BLAS_THREADS, linalg._set_blas_threads is not None]))"
+    "print(json.dumps([get(), linalg._BLAS_THREADS, linalg._BLAS_API is not None]))"
 )
 
 
@@ -69,7 +70,7 @@ def test_without_the_api_nothing_is_set():
         "R = np.random.default_rng(0).standard_normal((2, linalg.PARALLEL_DIM, linalg.PARALLEL_DIM))\n"
         "H = R[0] + 1j * R[1]; H = H + H.conj().T\n"
         "E, V = linalg._eigh(H); E0, V0 = np.linalg.eigh(H)\n"
-        "print(json.dumps([linalg._set_blas_threads is None, before, get(), "
+        "print(json.dumps([linalg._BLAS_API is None, before, get(), "
         "bool(np.array_equal(E, E0) and np.array_equal(V, V0))]))"
     )
     none, before, after, same = report(code)
@@ -78,7 +79,7 @@ def test_without_the_api_nothing_is_set():
 
 
 def test_one_blas_thread_stands_aside(monkeypatch):
-    # A user's variable, or no API, leaves the rule without a setter.
+    # A user's variable, or no API, leaves the rule without the API.
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     assert linalg._one_blas_thread() == (None, 1)
     monkeypatch.delenv("OMP_NUM_THREADS")
@@ -90,11 +91,14 @@ def test_one_blas_thread_stands_aside(monkeypatch):
 
 @needs_api
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-def test_large_eigh_runs_on_the_recorded_threads(fails, monkeypatch):
+@pytest.mark.parametrize("before, recorded", [(1, 2), (2, 1)], ids=["rule", "host"])
+def test_large_eigh_runs_on_the_recorded_threads(before, recorded, fails, monkeypatch):
+    # The count in force before the call comes back after it: the rule's
+    # 1, or a count the host program chose after import.
     get, set_ = API
     own = get()
-    monkeypatch.setattr(linalg, "_set_blas_threads", set_)
-    monkeypatch.setattr(linalg, "_BLAS_THREADS", 2)
+    monkeypatch.setattr(linalg, "_BLAS_API", API)
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", recorded)
     eigh = np.linalg.eigh
     seen = []
 
@@ -106,7 +110,7 @@ def test_large_eigh_runs_on_the_recorded_threads(fails, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", observed)
     try:
-        set_(1)
+        set_(before)
         for n in (linalg.PARALLEL_DIM - 1, linalg.PARALLEL_DIM):
             try:
                 linalg._eigh(np.eye(n, dtype=np.complex128))
@@ -115,6 +119,46 @@ def test_large_eigh_runs_on_the_recorded_threads(fails, monkeypatch):
         after = get()
     finally:
         set_(own)
+    assert seen == [before, recorded]
+    assert after == before
+
+
+@needs_api
+@pytest.mark.parametrize(
+    "argv, observe",
+    [
+        (["converge", "--projector", "random:2", "--n-max", "8"], (zeno, "convergence_scan")),
+        (["survival", "--state", "random", "--t-max", "1", "--samples", "2"], (linalg, "survival_probability")),
+    ],
+    ids=["converge", "survival"],
+)
+def test_a_large_command_runs_on_the_recorded_threads(argv, observe, monkeypatch, capsys):
+    # All of a command's work, not only its eigh, runs on the recorded
+    # count from n = PARALLEL_DIM, and on the count before it afterwards.
+    get, set_ = API
+    own = get()
+    monkeypatch.setattr(linalg, "_BLAS_API", API)
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", 2)
+    module, name = observe
+    call = getattr(module, name)
+    seen = []
+
+    def observed(*args):
+        seen.append(get())
+        return call(*args)
+
+    monkeypatch.setattr(module, name, observed)
+    try:
+        set_(1)
+        codes = [
+            cli.main([argv[0], "--hamiltonian", f"random:{n}", *argv[1:]])
+            for n in (linalg.PARALLEL_DIM - 1, linalg.PARALLEL_DIM)
+        ]
+        after = get()
+    finally:
+        set_(own)
+    capsys.readouterr()
+    assert codes == [0, 0]
     assert seen == [1, 2]
     assert after == 1
 
@@ -127,12 +171,15 @@ def test_every_eigh_goes_through_the_one_path():
         for line in path.read_text().splitlines()
         if "np.linalg.eigh(" in line and not line.lstrip().startswith(('"""', "#"))
     ]
-    assert calls == [("linalg.py", "        return np.linalg.eigh(H)")] * 2
+    assert calls == [("linalg.py", "        return np.linalg.eigh(H)")]
 
 
+@needs_api
 def test_converge_prints_the_bytes_of_a_one_thread_run():
     # n = 200 is below PARALLEL_DIM: every BLAS call of the run is on one
     # thread, so the printed digits do not move with the host's cores.
+    # Without the API the rule does nothing, and the default run is on
+    # OpenBLAS's own count.
     argv = ["-m", "zenogeo.cli", "converge", "--hamiltonian", "random:200",
             "--projector", "random:20", "--n-max", "65536"]
     default, one = run(argv), run(argv, OPENBLAS_NUM_THREADS="1")
