@@ -2,19 +2,22 @@
 
 The on-disk form is ``{"dim": n, "re": [...], "im": [...]}`` with row-major
 real and imaginary parts: length n for a state, n*n for a matrix.  A file
-is read as its UTF-8 bytes, whatever the locale.
+is read as its UTF-8 bytes, whatever the locale; given dim_max, only once
+its size is within _ENTRY_BYTES per entry of a dim-dim_max input and
+_HEAD_BYTES.
 
 A load first deletes, chunk by chunk, every byte a JSON number or a
 separator can hold.  What is left of a plain file is its skeleton
-``{"dim""r"[]"im"[]}``, in any key order: its re and im hold only numbers,
-so their entries are not type-checked one by one, and its three brackets
-keep nesting away from orjson, which overflows its C stack on deep input.
-orjson, when installed, decodes plain files only, to json's doubles bit
-for bit; json decodes every other file and what orjson refuses.  A file
-gives the same arrays, or fails with ValueError, with or without orjson.
-Only one message differs: orjson reads an integer past 64 bits as a
-float, so such a ``dim`` in a plain file fails the integer check rather
-than the size check.
+``{"dim""r"[]"im"[]}``, in any key order: re and im are its two bracket
+pairs and hold only numbers.  The text outside them gives dim and the
+keys' order; each list is decoded, by orjson when installed and json
+otherwise, in comma-cut chunks into one complex array, so a load holds
+the file, the array and one chunk's list, and orjson never meets the
+nesting that overflows its C stack.  json decodes every other file whole,
+and so a plain one with another key, a dim out of range or past what its
+lists hold, a chunk refused or holding no number, or a wrong count: a
+file gives json's arrays, or its ValueError, with or without orjson, and
+a dim past 64 bits, which orjson reads as a float, too.
 """
 from __future__ import annotations
 
@@ -42,6 +45,13 @@ _PLAIN_SIZE = len(b'{"dim""r"[]"im"[]}')
 #: benchmark's peak RSS by 5.7%, and the scan is nearly as fast.
 _SCAN_CHUNK = 1 << 14
 
+#: Bytes of a list decoded at a time, to the next comma.
+_DECODE_CHUNK = 1 << 17
+
+#: The size bound: about twice what json.dumps(indent=2) spends on the
+#: longest double, and room for the keys and dim.
+_ENTRY_BYTES, _HEAD_BYTES = 64, 4096
+
 
 def state_to_dict(psi) -> dict:
     psi = np.asarray(psi, dtype=np.complex128)
@@ -58,10 +68,9 @@ def matrix_to_dict(A) -> dict:
     return {"dim": A.shape[0], "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
-def _parts(payload: dict, plain: bool = False, dim_max: int | None = None) -> tuple[int, np.ndarray]:
+def _parts(payload: dict, dim_max: int | None = None) -> tuple[int, np.ndarray]:
     """dim, at most dim_max when given, and the complex entries of a
-    payload; plain says that it was decoded from text with a plain
-    skeleton, so re and im hold numbers."""
+    payload."""
     try:
         dim, re, im = payload["dim"], payload["re"], payload["im"]
         # A string would reach numpy, a dict be scanned by its keys.
@@ -69,7 +78,7 @@ def _parts(payload: dict, plain: bool = False, dim_max: int | None = None) -> tu
             raise TypeError("re and im must be flat lists of equal length")
         # Entry types, not isinstance: true is an int and not a number, and
         # numpy would read "1" as 1.0 and null as nan.
-        if not plain and not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+        if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
             raise ValueError("re and im entries must be JSON numbers")
         re = np.asarray(re, dtype=np.float64)
         im = np.asarray(im, dtype=np.float64)
@@ -126,23 +135,70 @@ def _plain(data: bytes) -> bool:
     return skeleton in _PLAIN_SKELETONS
 
 
-def _loads(path) -> tuple[object, bool]:
-    """json.loads of the file's UTF-8 text, through orjson when it is
-    installed and the file is plain (see the module's docstring), and
-    whether it is plain: then a decoded dict's re and im hold only numbers."""
-    data = Path(path).read_bytes()
-    plain = _plain(data)
-    if plain:
-        try:
-            # Here, not at the top: importing zenogeo does not load orjson.
-            from orjson import JSONDecodeError, loads
-        except ImportError:
-            pass
-        else:
-            try:
-                return loads(data), plain
-            except JSONDecodeError:
-                pass
+def _decode_list(loads, data: bytes, start: int, end: int, out: np.ndarray) -> bool:
+    """Decode the list between the brackets data[start] and data[end] into
+    out, a chunk at a time; whether its chunks held numbers that fill out."""
+    view, filled = memoryview(data), 0
+    while start < end:
+        cut = data.find(b",", start + _DECODE_CHUNK, end)
+        cut = end if cut < 0 else cut
+        # A list of one chunk is decoded from the file's bytes, uncopied, and
+        # a contiguous array is a fifth faster than a strided assign; a
+        # chunk's copy goes before fromiter runs, its list after.
+        whole = cut == end and data[start] == ord("[")
+        numbers = np.fromiter(
+            loads(view[start:cut + 1] if whole else b"[%b]" % view[start + 1:cut]), np.float64)
+        if not numbers.size or filled + numbers.size > out.size:
+            return False
+        out[filled:filled + numbers.size] = numbers
+        filled += numbers.size
+        start = cut
+    return filled == out.size
+
+
+def _plain_parts(data: bytes, dim_max: int | None, square: bool) -> tuple[int, np.ndarray] | None:
+    """dim and the complex entries of a plain file, or None to hand it to
+    json (see the module's docstring)."""
+    try:
+        # Here, not at the top: importing zenogeo does not load orjson.
+        from orjson import loads
+    except ImportError:
+        def loads(text):
+            return json.loads(bytes(text))
+    o1, c1 = data.index(b"["), data.index(b"]")
+    o2, c2 = data.index(b"[", c1), data.rindex(b"]")
+    try:
+        head = loads(data[:o1 + 1] + data[c1:o2 + 1] + data[c2:])
+        dim = head.get("dim")
+        if head.keys() != {"dim", "re", "im"} or type(dim) is not int or dim < 1:
+            return None
+        # A list of c - o bytes, brackets and all, holds at most (c - o) / 2
+        # numbers: a dim its lists cannot fill allocates nothing.
+        count = dim * dim if square else dim
+        if (dim_max is not None and dim > dim_max) or 2 * count > min(c1 - o1, c2 - o2):
+            return None
+        z = np.empty(count, dtype=np.complex128)
+        first, second = (z.real, z.imag) if next(k for k in head if k != "dim") == "re" else (z.imag, z.real)
+        if _decode_list(loads, data, o1, c1, first) and _decode_list(loads, data, o2, c2, second):
+            return dim, z
+        return None
+    # json reads an integer past the double range, which overflows.
+    except (ValueError, OverflowError):
+        return None
+
+
+def _load(path, dim_max: int | None, square: bool) -> tuple[int, np.ndarray]:
+    """dim and the complex entries of a file, of a matrix when square (see
+    the module's docstring)."""
+    path = Path(path)
+    if dim_max is not None:
+        most = _ENTRY_BYTES * 2 * (dim_max * dim_max if square else dim_max) + _HEAD_BYTES
+        if (size := path.stat().st_size) > most:
+            raise ValueError(f"file has {size} bytes, more than the {most} of a dim-{dim_max} input")
+    data = path.read_bytes()
+    parts = _plain(data) and _plain_parts(data, dim_max, square)
+    if parts:
+        return parts
     # The text read_text(encoding="utf-8") gives, so that json's messages
     # count the same characters.  The bytes go before json decodes (a 43 MB
     # file peaked 41 MB higher), and the replaces, ten times as long as the
@@ -152,13 +208,14 @@ def _loads(path) -> tuple[object, bool]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text), plain
+        payload = json.loads(text)
     except RecursionError as exc:
         raise ValueError("JSON nested too deeply") from exc
+    return _parts(payload, dim_max)
 
 
 def load_state(path, dim_max: int | None = None) -> np.ndarray:
-    return _state(*_parts(*_loads(path), dim_max))
+    return _state(*_load(path, dim_max, False))
 
 
 def save_matrix(path, A) -> None:
@@ -166,4 +223,4 @@ def save_matrix(path, A) -> None:
 
 
 def load_matrix(path, dim_max: int | None = None) -> np.ndarray:
-    return _matrix(*_parts(*_loads(path), dim_max))
+    return _matrix(*_load(path, dim_max, True))

@@ -181,20 +181,22 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     leakage = |R|_F >= |R|_2, when (t leakage)^2 / 2 <= EXACT_TOL the limit
     is exact: once the limit's phases and the first rung's, the largest,
     pass the check, every rung reports (N, 0, 0), and neither S_N^N nor
-    exp(-iAt) is formed.
+    exp(-iAt) is formed; at full rank, where A is H, the limit's phases
+    are the setup's energies, and no second eigh is taken.
     """
     Ns = [_require_count(N, "measurement count N") for N in N_values]
     if not Ns:
         raise ValueError("N_values must be non-empty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending")
-    a, Z = _hermitian_eigh(setup.compression)
     tl = abs(float(t)) * setup.leakage
     if tl * tl / 2 <= EXACT_TOL:
+        full = setup.compression is setup.hamiltonian
+        a = setup.energies if full else _hermitian_eigh(setup.compression)[0]
         _require_finite_phases(a, float(t))
         _require_finite_phases(setup.energies, float(t) / Ns[0])
         return [ScanPoint(N, 0.0, 0.0) for N in Ns]
-    UZ = _propagator(a, Z, float(t))
+    UZ = _propagator(*_hermitian_eigh(setup.compression), float(t))
     points = []
     for N in Ns:
         diff = _step_power(setup, t, N, N) - UZ

@@ -1135,6 +1135,32 @@ class TestUsageErrors:
         assert charged_field(err) == flag
         assert err.strip().endswith("dim must be <= 1024, got 1025")
 
+    # 64 bytes per entry of a dim-1024 input and 4 KiB: 2 * 1024^2 entries
+    # in a matrix, 2 * 1024 in a state.
+    @pytest.mark.parametrize(
+        "argv,flag,most",
+        [
+            (["zeno-time", "--hamiltonian", "{}", "--state", "e1"], "--hamiltonian", 64 * 2 * 1024**2 + 4096),
+            (["zeno-time", "--hamiltonian", "sigma_x", "--state", "{}"], "--state", 64 * 2 * 1024 + 4096),
+            (["converge", "--hamiltonian", "sigma_x", "--projector", "{}", "--n-max", "8"], "--projector",
+             64 * 2 * 1024**2 + 4096),
+        ],
+        ids=["hamiltonian", "state", "projector"],
+    )
+    def test_file_size_budget(self, argv, flag, most, tmp_path, capsys, monkeypatch):
+        # One byte past the bound, in a sparse file: refused by its size,
+        # before a byte of it is read.
+        path = tmp_path / "big.json"
+        with open(path, "wb") as f:
+            f.truncate(most + 1)
+        reads = []
+        monkeypatch.setattr(pathlib.Path, "read_bytes", lambda self: reads.append(self))
+        code, _, err = run_clean([str(path) if a == "{}" else a for a in argv], capsys)
+        assert code == 2
+        assert charged_field(err) == flag
+        assert err.strip().endswith(f"file has {most + 1} bytes, more than the {most} of a dim-1024 input")
+        assert reads == []
+
     @pytest.mark.parametrize(
         "argv,message",
         [

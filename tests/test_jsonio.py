@@ -106,6 +106,23 @@ class TestRejection:
         with pytest.raises(ValueError, match="entries"):
             load(path, 3)
 
+    # The bound at dim_max = 2: 64 bytes for each of a state's 4 entries or
+    # a matrix's 8, and 4 KiB.
+    @pytest.mark.parametrize("load,most", [(jsonio.load_state, 64 * 4 + 4096), (jsonio.load_matrix, 64 * 8 + 4096)])
+    def test_file_past_the_size_bound_is_never_read(self, load, most, tmp_path, monkeypatch):
+        dim = 2 if load is jsonio.load_state else 4
+        text = '{"dim": 2, "re": [%s], "im": [%s]}' % (", ".join(["0.5"] * dim), ", ".join(["0"] * dim))
+        path = tmp_path / "padded.json"
+        path.write_text(text + " " * (most - len(text)))
+        assert load(path, 2).size == dim
+        reads = []
+        monkeypatch.setattr(pathlib.Path, "read_bytes", lambda self: reads.append(self))
+        with open(path, "a") as f:
+            f.write(" ")
+        with pytest.raises(ValueError, match=f"^file has {most + 1} bytes, more than the {most} of a dim-2 input$"):
+            load(path, 2)
+        assert reads == []
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
             jsonio.matrix_to_dict(np.ones((2, 3)))
@@ -225,7 +242,8 @@ LOADING = {
     "infinity-entries": ('{"dim": 2, "re": [Infinity, 0], "im": [0, -Infinity]}', False),
 }
 #: Texts that fail, with what their message holds and whether their
-#: skeleton is plain: "ree" loses its two e's, and the file its "re" key.
+#: skeleton is plain: "ree" loses its two e's, and the file its "re" key;
+#: orjson reads a dim past 64 bits as a float, json as an int.
 FAILING = {
     "string-entry": ('{"dim": 2, "re": ["1", 0], "im": [0, 0]}', "JSON numbers", False),
     "string-e-entry": ('{"dim": 2, "re": ["e", 0], "im": [0, 0]}', "JSON numbers", False),
@@ -236,6 +254,7 @@ FAILING = {
     "object-entry": ('{"dim": 2, "re": [{}, 0], "im": [0, 0]}', "JSON numbers", False),
     "re-not-a-list": ('{"dim": 1, "re": 1, "im": [0], "x": []}', "malformed", False),
     "key-re-spelled-ree": ('{"dim": 2, "ree": [1, 0], "im": [0, 0]}', "malformed", True),
+    "dim-past-64-bits": ('{"dim": 123456789012345678901234567890, "re": [1], "im": [0]}', "expected dim", True),
     "bom": ("\ufeff" + json.dumps(PLAIN), "BOM", False),
 }
 
@@ -338,6 +357,69 @@ class TestSkeleton:
         assert_loads_as_json_does(path)
 
 
+def chunk_ends(text: str, start: int):
+    """Where each chunk of the list whose "[" is text[start] would end if it
+    were not cut at the next comma, and the comma it is cut at."""
+    end = text.index("]", start)
+    while (cut := text.find(",", start + jsonio._DECODE_CHUNK, end)) >= 0:
+        yield start + jsonio._DECODE_CHUNK, cut
+        start = cut
+
+
+class TestChunks:
+    """A plain file's lists are decoded a chunk at a time, each cut at the
+    first comma _DECODE_CHUNK bytes past its start; a file loads, or fails,
+    as json.loads and the dict functions have it."""
+
+    def test_lists_of_several_chunks_load_as_json_reads_them(self, decoder, tmp_path):
+        # Fixed-width entries, 22 characters in re and 23 in im, put the
+        # end of every chunk but the last inside an entry.
+        count = 20000
+        rng = np.random.default_rng(7)
+        re = ", ".join("%.16e" % v for v in abs(rng.standard_normal(count)))
+        im = ", ".join("-%.16e" % v for v in abs(rng.standard_normal(count)))
+        text = '{"dim": %d, "re": [%s], "im": [%s]}' % (count, re, im)
+        path = tmp_path / "psi.json"
+        path.write_text(text)
+        for start in (text.index("["), text.rindex("[")):
+            ends = list(chunk_ends(text, start))
+            assert len(ends) >= 3
+            assert all(text[nominal] not in ", " for nominal, _ in ends)
+        got = assert_loads_as_json_does(path)
+        assert not isinstance(got, str) and got[0] == (count,)
+
+    # A run of spaces between two commas, as long as a chunk: inside the
+    # first chunk, which then ends in a comma, or a chunk of its own, which
+    # holds no number.  json rejects both lists.
+    @pytest.mark.parametrize("before", [1, jsonio._DECODE_CHUNK // 2], ids=["inside-a-chunk", "own-chunk"])
+    def test_whitespace_run_filling_a_chunk_fails_as_json_does(self, decoder, before, tmp_path):
+        text = '{"dim": %d, "re": [%s%s,1], "im": [%s]}' % (
+            before + 1, "1," * before, " " * jsonio._DECODE_CHUNK, ",".join(["0"] * (before + 1)))
+        path = tmp_path / "psi.json"
+        path.write_text(text)
+        bounds = [text.index("["), *(cut for _, cut in chunk_ends(text, text.index("["))), text.index("]")]
+        chunks = [text[a + 1:b] for a, b in zip(bounds, bounds[1:])]
+        assert chunks[0].rstrip().endswith(",") == (before == 1)
+        assert any(chunk.isspace() for chunk in chunks) == (before > 1)
+        assert jsonio._plain(text.encode())
+        assert assert_loads_as_json_does(path).startswith("Expecting value")
+
+    # Lists that hold 2 entries: a dim of 2000, or a matrix of dim 2, asks
+    # for more, and allocates nothing (a 2000 x 2000 array takes 64 MB).
+    @pytest.mark.parametrize("dim", [2, 2000])
+    def test_dim_its_lists_cannot_fill_allocates_nothing(self, decoder, dim, tmp_path):
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": %d, "re": [1, 0], "im": [0, 0]}' % dim)
+        tracemalloc.start()
+        try:
+            got = assert_loads_as_json_does(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(got, str) or dim == 2
+        assert peak < 1 << 20
+
+
 @pytest.fixture
 def orjson_calls(monkeypatch):
     """A recording stand-in for orjson, wrapping the real loads and
@@ -358,15 +440,45 @@ def orjson_calls(monkeypatch):
 ROUTED = {**LOADING, **{name: (text, plain) for name, (text, _, plain) in FAILING.items()}}
 
 
+def assert_chunked(calls, text: str):
+    """Each call got a plain file's text outside its lists, first, or one
+    chunk of a list, which is at most a chunk and a run between two commas
+    long; a list of one chunk comes as a view of the file's bytes."""
+    longest = max(map(len, text.split(",")))
+    assert calls and bytes(calls[0]).count(b"[]") == 2
+    for call in calls:
+        skeleton = bytes(call).translate(None, jsonio._NUMBER_BYTES)
+        if skeleton != b"[]":
+            assert skeleton in jsonio._PLAIN_SKELETONS
+        elif len(text) < jsonio._DECODE_CHUNK:
+            assert type(call) is memoryview
+        else:
+            assert len(call) <= jsonio._DECODE_CHUNK + longest + 2
+
+
 class TestRouting:
-    """orjson decodes plain files and no other."""
+    """orjson decodes plain files and no other, a chunk at a time."""
 
     @pytest.mark.parametrize("text,plain", ROUTED.values(), ids=ROUTED)
     def test_only_a_plain_file_reaches_orjson(self, orjson_calls, text, plain, tmp_path):
         path = tmp_path / "psi.json"
         path.write_bytes(text.encode())
         assert_loads_as_json_does(path)
-        assert orjson_calls == ([text.encode()] * 2 if plain else [])
+        if plain:
+            assert_chunked(orjson_calls, text)
+        else:
+            assert orjson_calls == []
+
+    def test_a_large_file_reaches_orjson_a_chunk_at_a_time(self, orjson_calls, tmp_path):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+        path = tmp_path / "A.json"
+        jsonio.save_matrix(path, A)
+        assert np.array_equal(jsonio.load_matrix(path), A)
+        text = path.read_text()
+        assert len(text) > 8 * jsonio._DECODE_CHUNK
+        assert_chunked(orjson_calls, text)
+        assert len(orjson_calls) > 8
 
     def test_deep_nesting_never_reaches_orjson(self, orjson_calls, tmp_path):
         path = tmp_path / "deep.json"
@@ -387,6 +499,25 @@ class TestRouting:
         finally:
             tracemalloc.stop()
         assert peak < 4 * jsonio._SCAN_CHUNK
+
+    # A plain load holds the file's bytes, its array and a chunk's list,
+    # never a list of every entry, as a whole-file decode did.  A chunk of
+    # doubles as json.dumps writes them holds about 6,000 numbers, and json
+    # holds its text twice, as bytes and as str.
+    def test_plain_load_holds_the_file_the_array_and_a_few_chunks(self, decoder, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "A.json"
+        jsonio.save_matrix(path, rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
+        size = path.stat().st_size
+        assert size > 1 << 20
+        tracemalloc.start()
+        try:
+            A = jsonio.load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (200, 200)
+        assert peak < size + A.nbytes + 6 * jsonio._DECODE_CHUNK
 
 
 def run_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:

@@ -485,6 +485,14 @@ class TestConvergenceScan:
         assert len(points) == 14
         assert eigh_sizes.count(setup.dim) == 0
 
+    def test_full_rank_scan_takes_one_eigh(self, eigh_sizes):
+        # At identity the compression is H, whose eigenvalues the setup
+        # holds: the exact scan checks the limit's phases on them.
+        setup = ZenoSetup(random_hermitian(np.random.default_rng(17), 12), np.eye(12))
+        points = convergence_scan(setup, 1.0, [8, 16, 32])
+        assert [(p.error_spectral, p.error_frobenius) for p in points] == [(0.0, 0.0)] * 3
+        assert eigh_sizes == [12]
+
     def test_near_projector_matches_the_dense_formula(self):
         # P = |q><q| + 5e-11 |w><w| is idempotent only to 5e-11; the scan
         # runs on the span of q and must agree with the dense product
