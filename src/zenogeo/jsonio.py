@@ -11,13 +11,15 @@ separator can hold.  What is left of a plain file is its skeleton
 ``{"dim""r"[]"im"[]}``, in any key order: re and im are its two bracket
 pairs and hold only numbers.  The text outside them gives dim and the
 keys' order; each list is decoded, by orjson when installed and json
-otherwise, in comma-cut chunks into one complex array, so a load holds
-the file, the array and one chunk's list, and orjson never meets the
-nesting that overflows its C stack.  json decodes every other file whole,
-and so a plain one with another key, a dim out of range or past what its
-lists hold, a chunk refused or holding no number, or a wrong count: a
-file gives json's arrays, or its ValueError, with or without orjson, and
-a dim past 64 bits, which orjson reads as a float, too.
+otherwise, in comma-cut chunks of at most _DECODE_CHUNK bytes and about
+_DECODE_COUNT numbers of the list's mean width, into one complex array,
+so a load holds the file, the array and one chunk's list, and orjson
+never meets the nesting that overflows its C stack.  json decodes every
+other file whole, and so a plain one with another key, a dim out of
+range or past what its lists hold, a chunk refused or holding no number,
+or a wrong count: a file gives json's arrays, or its ValueError, with or
+without orjson, and a dim past 64 bits, which orjson reads as a float,
+too.
 """
 from __future__ import annotations
 
@@ -45,8 +47,11 @@ _PLAIN_SIZE = len(b'{"dim""r"[]"im"[]}')
 #: benchmark's peak RSS by 5.7%, and the scan is nearly as fast.
 _SCAN_CHUNK = 1 << 14
 
-#: Bytes of a list decoded at a time, to the next comma.
-_DECODE_CHUNK = 1 << 17
+#: A list is decoded a chunk at a time, each cut at the first comma past
+#: _DECODE_COUNT numbers of the list's mean width, and at most
+#: _DECODE_CHUNK bytes: about 6,000 doubles as json.dumps writes them, and
+#: 8,192 numbers of a list of 0.0.
+_DECODE_CHUNK, _DECODE_COUNT = 1 << 17, 1 << 13
 
 #: The size bound: about twice what json.dumps(indent=2) spends on the
 #: longest double, and room for the keys and dim.
@@ -139,8 +144,9 @@ def _decode_list(loads, data: bytes, start: int, end: int, out: np.ndarray) -> b
     """Decode the list between the brackets data[start] and data[end] into
     out, a chunk at a time; whether its chunks held numbers that fill out."""
     view, filled = memoryview(data), 0
+    size = min(_DECODE_CHUNK, (end - start) * _DECODE_COUNT // out.size)
     while start < end:
-        cut = data.find(b",", start + _DECODE_CHUNK, end)
+        cut = data.find(b",", start + size, end)
         cut = end if cut < 0 else cut
         # A list of one chunk is decoded from the file's bytes, uncopied, and
         # a contiguous array is a fifth faster than a strided assign; a

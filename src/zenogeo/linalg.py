@@ -4,16 +4,24 @@ States are plain 1-D complex128 arrays, operators plain 2-D complex128
 arrays; validation lives in the ``require_*`` / ``as_*`` helpers instead of
 wrapper classes.  Every function is pure and leaves its inputs untouched.
 
+Every eigh of the package goes through _eigh, which keeps the last
+_EIGH_MEMO_SIZE = 2 matrices it decomposed and their eigenpairs, and
+returns the held pair for a matrix equal to one of them bit for bit: a
+study that sweeps N, t, P or psi0 decomposes its fixed H once.  It holds
+the caller's own array, a checked copy such as ZenoSetup.hamiltonian,
+and makes it read-only, as are the E and V it returns.
+
 BLAS threads: importing the module sets the OpenBLAS that numpy ships to
 one thread, process-wide, and records the count it had.  blas_threads(n)
 gives a block of work on dimension n >= PARALLEL_DIM the recorded count
-and then puts back the count in force before it; every eigh of the
-package goes through _eigh, which runs in it, and the CLI runs a whole
-command on a Hamiltonian that large in it.  The count is a setting of
-the whole process: a large eigh must not run alongside BLAS work in
-other Python threads.  The rule stands aside when the user sets
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and where
-numpy's BLAS is not an OpenBLAS found in numpy's wheel directories.
+and then puts back the count in force before it; _eigh, the library
+calls on a Hamiltonian (ZenoSetup, the scan, products and trajectories
+of zeno, and the propagator and survival functions here) and the CLI's
+commands run in it.  The count is a setting of the whole process: a
+large eigh must not run alongside BLAS work in other Python threads.
+The rule stands aside when the user sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS, and where numpy's BLAS is not an
+OpenBLAS found in numpy's wheel directories.
 """
 from __future__ import annotations
 
@@ -114,7 +122,45 @@ def blas_threads(n: int):
         set_(before)
 
 
+#: The last _EIGH_MEMO_SIZE matrices _eigh decomposed, least recently used
+#: first, each read-only with its read-only eigenpairs (E, V).
+_eigh_memo: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+_EIGH_MEMO_SIZE = 2
+
+
+def _same_bits(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether A and B have one dtype, one shape and the same bits in
+    every entry: -0.0 and 0.0 differ, and a nan matches its own bits."""
+    if A.dtype != B.dtype or A.shape != B.shape:
+        return False
+    bits = np.dtype(f"u{A.real.itemsize}")
+    return all(np.array_equal(a.view(bits), b.view(bits)) for a, b in ((A.real, B.real), (A.imag, B.imag)))
+
+
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(H), taken once for a matrix that is bit for bit one
+    of the last _EIGH_MEMO_SIZE decomposed.
+
+    H must be the caller's own array, which nothing writes to afterwards:
+    a require_hermitian copy or a temporary.  _eigh makes it read-only and
+    holds it, uncopied, as the memo's key; E and V are read-only too.
+    Each call reads one list and binds a new one, so a call in another
+    thread at most loses an entry: a hit's key always equals H.
+    """
+    global _eigh_memo
+    H.flags.writeable = False
+    memo = _eigh_memo
+    for entry in memo:
+        if _same_bits(entry[0], H):
+            _eigh_memo = [*(e for e in memo if e is not entry), entry]
+            return entry[1], entry[2]
+    E, V = _decompose(H)
+    E.flags.writeable = V.flags.writeable = False
+    _eigh_memo = [*memo, (H, E, V)][-_EIGH_MEMO_SIZE:]
+    return E, V
+
+
+def _decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(H), the one eigh call, under blas_threads(n)."""
     with blas_threads(H.shape[0]):
         return np.linalg.eigh(H)
@@ -286,22 +332,27 @@ def expm_antihermitian(H, t: float) -> np.ndarray:
     exp(-i H t) = V diag(exp(-i E t)) V^dagger, unitary up to the roundoff
     of ``eigh`` for any t with finite phases E t.
     """
-    return _propagator(*_eigh(require_hermitian(H)), float(t))
+    H = require_hermitian(H)
+    with blas_threads(H.shape[0]):
+        return _propagator(*_eigh(H), float(t))
 
 
-def _eigen(psi0, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@contextlib.contextmanager
+def _eigen(psi0, H):
     """Eigenpairs (E, V) of a checked H, from one eigh, and the checked
-    normalized state psi0 of the same dimension."""
+    normalized state psi0 of the same dimension, for a block that runs on
+    blas_threads(n)."""
     psi0 = require_normalized(psi0)
     H = require_hermitian(H)
     _require_fits(psi0, H)
-    return (*_eigh(H), psi0)
+    with blas_threads(H.shape[0]):
+        yield (*_eigh(H), psi0)
 
 
 def evolve(psi0, H, t: float) -> np.ndarray:
     """Propagate a normalized state: psi(t) = exp(-i H t) psi0."""
-    E, V, psi0 = _eigen(psi0, H)
-    return _propagator(E, V, float(t)) @ psi0
+    with _eigen(psi0, H) as (E, V, psi0):
+        return _propagator(E, V, float(t)) @ psi0
 
 
 def expectation_value(A, psi):
@@ -336,7 +387,7 @@ def _amplitudes(E: np.ndarray, V: np.ndarray, psi0: np.ndarray, t: np.ndarray) -
 
 
 def _probabilities(E: np.ndarray, V: np.ndarray, psi0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """survival_probability from the output of _eigen."""
+    """survival_probability from the eigenpairs and state of _eigen."""
     a = _amplitudes(E, V, psi0, np.append(0.0, t))
     return np.minimum(np.abs(a[1:]) ** 2 / abs(a[0]) ** 2, 1.0)
 
@@ -345,7 +396,8 @@ def survival_amplitude(psi0, H, t):
     """Overlap <psi0| exp(-i H t) |psi0> of the evolved state with itself;
     a complex for a scalar t, an array for a 1-D array of times."""
     t = _times(t)
-    a = _amplitudes(*_eigen(psi0, H), t)
+    with _eigen(psi0, H) as spectrum:
+        a = _amplitudes(*spectrum, t)
     return complex(a) if t.ndim == 0 else a
 
 
@@ -356,7 +408,8 @@ def survival_probability(psi0, H, t):
     a(0) comes from the same sum as a(t), so p(0) is exactly 1.
     """
     t = _times(t)
-    p = _probabilities(*_eigen(psi0, H), t)
+    with _eigen(psi0, H) as spectrum:
+        p = _probabilities(*spectrum, t)
     return float(p[0]) if t.ndim == 0 else p
 
 
@@ -397,16 +450,16 @@ def short_time_coefficient(psi0, H) -> float:
     Raises ExtrapolationError when the tableau does not settle, i.e. the
     leading behavior is not quadratic to the expected accuracy.
     """
-    E, V, psi0 = _eigen(psi0, H)
-    # The spectral radius max|E| is the spectral norm of Hermitian H.
-    scale = float(np.max(np.abs(E)))
-    if scale == 0.0:
-        return 0.0
-    t0 = 0.1 / scale
-    levels = 5
-    ts = t0 / 2.0 ** np.arange(levels)
-    # Richardson tableau in the variable h = t^2 (step ratio 4 per level).
-    tab = ((1.0 - _probabilities(E, V, psi0, ts)) / ts**2).tolist()
+    with _eigen(psi0, H) as (E, V, psi0):
+        # The spectral radius max|E| is the spectral norm of Hermitian H.
+        scale = float(np.max(np.abs(E)))
+        if scale == 0.0:
+            return 0.0
+        t0 = 0.1 / scale
+        levels = 5
+        ts = t0 / 2.0 ** np.arange(levels)
+        # Richardson tableau in the variable h = t^2 (step ratio 4 per level).
+        tab = ((1.0 - _probabilities(E, V, psi0, ts)) / ts**2).tolist()
     best = [tab[0]]
     for m in range(1, levels):
         for k in range(levels - m):

@@ -7,6 +7,7 @@ to that limit.  Bounded H and finite-dimensional P throughout.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .linalg import (
     _require_finite_phases,
     _require_fits,
     as_state,
+    blas_threads,
     require_hermitian,
     require_projector,
 )
@@ -56,7 +58,9 @@ class ZenoSetup:
     leakage is 0, with no product formed.
 
     The constructor, the one way to build a setup, checks H and P once
-    each and keeps the checked copies.  Setups compare and hash by identity.
+    each and keeps the checked copies.  ``hamiltonian`` and ``energies``
+    are read-only: linalg._eigh holds them, so that an equal H is
+    decomposed only once.  Setups compare and hash by identity.
     """
 
     hamiltonian: np.ndarray
@@ -69,47 +73,52 @@ class ZenoSetup:
     leakage: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        H, P, Q, HQ, A = _compression(self.hamiltonian, self.projector)
-        E, V = _eigh(H)
-        full = A is H  # Q = I: _compression formed no product
-        object.__setattr__(self, "hamiltonian", H)
-        object.__setattr__(self, "projector", P)
-        object.__setattr__(self, "basis", Q)
-        object.__setattr__(self, "energies", E)
-        object.__setattr__(self, "overlaps", V if full else Q.conj().T @ V)
-        object.__setattr__(self, "compression", A)
-        object.__setattr__(self, "leakage", 0.0 if full else float(np.linalg.norm(HQ - Q @ A)))
-        if self.initial_state is None:
-            return
-        psi0 = as_state(self.initial_state)
-        _require_fits(psi0, H)
-        resid = float(np.linalg.norm(P @ psi0 - psi0))
-        if resid > PROJECTOR_TOL:
-            raise ValueError(
-                f"initial state is not prepared in the measured subspace "
-                f"(|P psi0 - psi0| = {resid:.3e})"
-            )
-        object.__setattr__(self, "initial_state", psi0)
+        with _compression(self.hamiltonian, self.projector) as (H, P, Q, HQ, A):
+            E, V = _eigh(H)
+            full = A is H  # Q = I: _compression formed no product
+            object.__setattr__(self, "hamiltonian", H)
+            object.__setattr__(self, "projector", P)
+            object.__setattr__(self, "basis", Q)
+            object.__setattr__(self, "energies", E)
+            object.__setattr__(self, "overlaps", V if full else Q.conj().T @ V)
+            object.__setattr__(self, "compression", A)
+            object.__setattr__(self, "leakage", 0.0 if full else float(np.linalg.norm(HQ - Q @ A)))
+            if self.initial_state is None:
+                return
+            psi0 = as_state(self.initial_state)
+            _require_fits(psi0, H)
+            resid = float(np.linalg.norm(P @ psi0 - psi0))
+            if resid > PROJECTOR_TOL:
+                raise ValueError(
+                    f"initial state is not prepared in the measured subspace "
+                    f"(|P psi0 - psi0| = {resid:.3e})"
+                )
+            object.__setattr__(self, "initial_state", psi0)
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
 
-def _compression(H, P) -> tuple[np.ndarray, ...]:
-    """Checked H and P, the check's basis Q of range P, HQ and A = Q^dagger H Q.
+@contextlib.contextmanager
+def _compression(H, P):
+    """Checked H and P, the check's basis Q of range P, HQ and A = Q^dagger H Q,
+    for a block that runs, as the check of P does, on blas_threads(n).
 
     At full rank, where require_projector returns Q = I, HQ and A are H
     itself, and no product with I is formed.
     """
     H = require_hermitian(H)
-    P, Q = require_projector(P)
-    if H.shape != P.shape:
-        raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
-    if Q.shape[1] == H.shape[0]:
-        return H, P, Q, H, H
-    HQ = H @ Q
-    return H, P, Q, HQ, Q.conj().T @ HQ
+    with blas_threads(H.shape[0]):
+        P, Q = require_projector(P)
+        if H.shape != P.shape:
+            raise ValueError(f"dimension mismatch: H {H.shape[0]}, P {P.shape[0]}")
+        if Q.shape[1] == H.shape[0]:
+            HQ = A = H
+        else:
+            HQ = H @ Q
+            A = Q.conj().T @ HQ
+        yield H, P, Q, HQ, A
 
 
 @dataclass(frozen=True)
@@ -148,13 +157,14 @@ def zeno_product(setup: ZenoSetup, t: float, N: int) -> np.ndarray:
     """
     N = _require_count(N, "measurement count N")
     Q = setup.basis
-    return Q @ _step_power(setup, t, N, N) @ Q.conj().T
+    with blas_threads(setup.dim):
+        return Q @ _step_power(setup, t, N, N) @ Q.conj().T
 
 
 def zeno_hamiltonian(H, P) -> np.ndarray:
     """Compression PHP = Q (A + A^dagger)/2 Q^dagger to the measured subspace."""
-    _, _, Q, _, A = _compression(H, P)
-    return Q @ (0.5 * (A + A.conj().T)) @ Q.conj().T
+    with _compression(H, P) as (_, _, Q, _, A):
+        return Q @ (0.5 * (A + A.conj().T)) @ Q.conj().T
 
 
 def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
@@ -162,9 +172,9 @@ def zeno_limit_unitary(H, P, t: float) -> np.ndarray:
 
     Unitary on the measured subspace, zero on its complement.
     """
-    _, _, Q, _, A = _compression(H, P)
-    a, Z = _hermitian_eigh(A)
-    return _propagator(a, Q @ Z, float(t))
+    with _compression(H, P) as (_, _, Q, _, A):
+        a, Z = _hermitian_eigh(A)
+        return _propagator(a, Q @ Z, float(t))
 
 
 def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
@@ -190,18 +200,19 @@ def convergence_scan(setup: ZenoSetup, t: float, N_values) -> list[ScanPoint]:
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_values must be ascending")
     tl = abs(float(t)) * setup.leakage
-    if tl * tl / 2 <= EXACT_TOL:
-        full = setup.compression is setup.hamiltonian
-        a = setup.energies if full else _hermitian_eigh(setup.compression)[0]
-        _require_finite_phases(a, float(t))
-        _require_finite_phases(setup.energies, float(t) / Ns[0])
-        return [ScanPoint(N, 0.0, 0.0) for N in Ns]
-    UZ = _propagator(*_hermitian_eigh(setup.compression), float(t))
-    points = []
-    for N in Ns:
-        diff = _step_power(setup, t, N, N) - UZ
-        points.append(ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff))))
-    return points
+    with blas_threads(setup.dim):
+        if tl * tl / 2 <= EXACT_TOL:
+            full = setup.compression is setup.hamiltonian
+            a = setup.energies if full else _hermitian_eigh(setup.compression)[0]
+            _require_finite_phases(a, float(t))
+            _require_finite_phases(setup.energies, float(t) / Ns[0])
+            return [ScanPoint(N, 0.0, 0.0) for N in Ns]
+        UZ = _propagator(*_hermitian_eigh(setup.compression), float(t))
+        points = []
+        for N in Ns:
+            diff = _step_power(setup, t, N, N) - UZ
+            points.append(ScanPoint(N, float(np.linalg.norm(diff, 2)), float(np.linalg.norm(diff))))
+        return points
 
 
 def fit_convergence_slope(points: list[ScanPoint]) -> float | None:
@@ -242,14 +253,15 @@ def measured_trajectory(
             f"samples = {samples} is not commensurate with N = {N}: choose "
             f"samples dividing N so every sample falls on a measurement"
         )
-    S = _step_power(setup, t, N, N // samples)
-    Q = setup.basis
-    y = Q.conj().T @ setup.initial_state
-    states = np.empty((samples + 1, setup.dim), dtype=np.complex128)
-    states[0] = setup.initial_state
-    for k in range(samples):
-        y = S @ y
-        states[k + 1] = Q @ y
+    with blas_threads(setup.dim):
+        S = _step_power(setup, t, N, N // samples)
+        Q = setup.basis
+        y = Q.conj().T @ setup.initial_state
+        states = np.empty((samples + 1, setup.dim), dtype=np.complex128)
+        states[0] = setup.initial_state
+        for k in range(samples):
+            y = S @ y
+            states[k + 1] = Q @ y
     times = np.linspace(0.0, t, samples + 1)
     probs = np.sum(np.abs(states) ** 2, axis=1)
     return ZenoTrajectory(times, states, probs, N)

@@ -31,6 +31,19 @@ with warnings.catch_warnings():
         pass
 
 
+from zenogeo import linalg  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def empty_eigh_memo():
+    """Every test starts and ends with an empty linalg._eigh memo: a
+    matrix another test decomposed would be a hit, and skip a patched or
+    counted np.linalg.eigh."""
+    linalg._eigh_memo.clear()
+    yield
+    linalg._eigh_memo.clear()
+
+
 def random_hermitian(rng: np.random.Generator, n: int, scale: float | None = None):
     R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     H = 0.5 * (R + R.conj().T)

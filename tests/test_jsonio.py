@@ -357,19 +357,22 @@ class TestSkeleton:
         assert_loads_as_json_does(path)
 
 
-def chunk_ends(text: str, start: int):
-    """Where each chunk of the list whose "[" is text[start] would end if it
-    were not cut at the next comma, and the comma it is cut at."""
+def chunk_ends(text: str, start: int, count: int):
+    """Where each chunk of the list whose "[" is text[start], read as count
+    numbers, would end if it were not cut at the next comma, and the comma
+    it is cut at."""
     end = text.index("]", start)
-    while (cut := text.find(",", start + jsonio._DECODE_CHUNK, end)) >= 0:
-        yield start + jsonio._DECODE_CHUNK, cut
+    size = min(jsonio._DECODE_CHUNK, (end - start) * jsonio._DECODE_COUNT // count)
+    while (cut := text.find(",", start + size, end)) >= 0:
+        yield start + size, cut
         start = cut
 
 
 class TestChunks:
     """A plain file's lists are decoded a chunk at a time, each cut at the
-    first comma _DECODE_CHUNK bytes past its start; a file loads, or fails,
-    as json.loads and the dict functions have it."""
+    first comma _DECODE_COUNT numbers of the list's mean width, and at most
+    _DECODE_CHUNK bytes, past its start; a file loads, or fails, as
+    json.loads and the dict functions have it."""
 
     def test_lists_of_several_chunks_load_as_json_reads_them(self, decoder, tmp_path):
         # Fixed-width entries, 22 characters in re and 23 in im, put the
@@ -382,7 +385,7 @@ class TestChunks:
         path = tmp_path / "psi.json"
         path.write_text(text)
         for start in (text.index("["), text.rindex("[")):
-            ends = list(chunk_ends(text, start))
+            ends = list(chunk_ends(text, start, count))
             assert len(ends) >= 3
             assert all(text[nominal] not in ", " for nominal, _ in ends)
         got = assert_loads_as_json_does(path)
@@ -397,12 +400,32 @@ class TestChunks:
             before + 1, "1," * before, " " * jsonio._DECODE_CHUNK, ",".join(["0"] * (before + 1)))
         path = tmp_path / "psi.json"
         path.write_text(text)
-        bounds = [text.index("["), *(cut for _, cut in chunk_ends(text, text.index("["))), text.index("]")]
+        bounds = [text.index("["), *(cut for _, cut in chunk_ends(text, text.index("["), before + 1)), text.index("]")]
         chunks = [text[a + 1:b] for a, b in zip(bounds, bounds[1:])]
         assert chunks[0].rstrip().endswith(",") == (before == 1)
         assert any(chunk.isspace() for chunk in chunks) == (before > 1)
         assert jsonio._plain(text.encode())
         assert assert_loads_as_json_does(path).startswith("Expecting value")
+
+    # A real matrix's im list is all 0.0, five bytes a number with its
+    # separator: a chunk of _DECODE_CHUNK bytes would hold 26,000 of them,
+    # 0.8 MB of Python floats, where its re list holds about 6,000 doubles.
+    def test_short_numbers_are_cut_by_their_count(self, decoder, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "A.json"
+        jsonio.save_matrix(path, rng.standard_normal((300, 300)))
+        text = path.read_text()
+        size = len(text)
+        assert size > 2 << 20
+        assert text.count("0.0", text.index('"im"')) == 300 * 300
+        tracemalloc.start()
+        try:
+            A = jsonio.load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (300, 300) and not A.imag.any()
+        assert peak < size + A.nbytes + 6 * jsonio._DECODE_CHUNK
 
     # Lists that hold 2 entries: a dim of 2000, or a matrix of dim 2, asks
     # for more, and allocates nothing (a 2000 x 2000 array takes 64 MB).
@@ -479,6 +502,14 @@ class TestRouting:
         assert len(text) > 8 * jsonio._DECODE_CHUNK
         assert_chunked(orjson_calls, text)
         assert len(orjson_calls) > 8
+
+    def test_a_chunk_of_equal_width_numbers_holds_at_most_the_count(self, orjson_calls, tmp_path):
+        path = tmp_path / "A.json"
+        jsonio.save_matrix(path, np.full((300, 300), 0.5))
+        assert np.array_equal(jsonio.load_matrix(path), np.full((300, 300), 0.5))
+        counts = [bytes(call).count(b",") + 1 for call in orjson_calls[1:]]
+        assert len(counts) > 20
+        assert jsonio._DECODE_COUNT <= max(counts) <= jsonio._DECODE_COUNT + 1
 
     def test_deep_nesting_never_reaches_orjson(self, orjson_calls, tmp_path):
         path = tmp_path / "deep.json"

@@ -4,6 +4,7 @@ import re
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -509,6 +510,139 @@ class TestHermitianEigh:
         E, _ = linalg._hermitian_eigh(A)
         E[0] = 5.0
         assert A[0, 0] == 2.0
+
+
+#: numpy's own eigh, for the bits of a fresh decomposition where a test
+#: counts the calls of a stand-in.
+numpy_eigh = np.linalg.eigh
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices passed to numpy.linalg.eigh from here on."""
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a)
+        return numpy_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+#: Entries of a Hermitian matrix: signed zeros, a subnormal and any double
+#: of a scale the checks accept.
+memo_parts = st.sampled_from([0.0, -0.0, 5e-324, -1e-300]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(1, 8))
+    parts = draw(st.lists(memo_parts, min_size=2 * n * n, max_size=2 * n * n))
+    R = np.array(parts[:n * n]).reshape(n, n) + 1j * np.array(parts[n * n:]).reshape(n, n)
+    return 0.5 * (R + R.conj().T)
+
+
+class TestEighMemo:
+    """_eigh decomposes a matrix once while it is, bit for bit, one of the
+    last _EIGH_MEMO_SIZE it took: a hit gives the bits of a fresh eigh."""
+
+    def test_an_equal_matrix_in_a_new_array_is_a_hit(self, eigh_calls):
+        H = random_hermitian(np.random.default_rng(1), 12)
+        first = linalg._eigh(H.copy())
+        again = linalg._eigh(H.copy())
+        assert len(eigh_calls) == 1
+        assert eigh_bits(again) == eigh_bits(first) == eigh_bits(numpy_eigh(H))
+
+    # The entry sits in the lower triangle, the one eigh reads.
+    @pytest.mark.parametrize(
+        "held, entry", [(0.25, np.nextafter(0.25, 1.0)), (0.0, -0.0)], ids=["one-ulp", "negative-zero"]
+    )
+    def test_one_changed_bit_pattern_is_a_miss(self, held, entry, eigh_calls):
+        H = random_hermitian(np.random.default_rng(2), 8)
+        H[5, 2] = H[2, 5] = held
+        G = H.copy()
+        G[5, 2] = entry
+        linalg._eigh(H.copy())
+        E, V = linalg._eigh(G.copy())
+        assert len(eigh_calls) == 2
+        assert eigh_bits((E, V)) == eigh_bits(numpy_eigh(G))
+
+    def test_a_fortran_ordered_matrix(self, eigh_calls):
+        H = random_hermitian(np.random.default_rng(3), 9)
+        F = np.asfortranarray(H)
+        assert eigh_bits(linalg._eigh(F)) == eigh_bits(numpy_eigh(H))
+        assert eigh_bits(linalg._eigh(H.copy())) == eigh_bits(numpy_eigh(H))
+        assert len(eigh_calls) == 1
+
+    def test_a_third_matrix_evicts_the_least_recently_used(self, eigh_calls):
+        rng = np.random.default_rng(4)
+        A, B, C = (random_hermitian(rng, 6) for _ in range(3))
+        assert linalg._EIGH_MEMO_SIZE == 2
+        for M in (A, B, A, C):
+            linalg._eigh(M.copy())
+        assert len(eigh_calls) == 3
+        linalg._eigh(A.copy())
+        assert len(eigh_calls) == 3
+        linalg._eigh(B.copy())
+        assert len(eigh_calls) == 4
+        assert len(linalg._eigh_memo) == 2
+
+    def test_held_and_returned_arrays_are_read_only(self):
+        H = random_hermitian(np.random.default_rng(5), 5)
+        E, V = linalg._eigh(H)
+        for array in (H, E, V, *linalg._eigh_memo[0]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_callers_matrix_stays_writable(self, eigh_calls):
+        rng = np.random.default_rng(6)
+        H = random_hermitian(rng, 6)
+        psi = random_state(rng, 6)
+        P = random_rank_projector(rng, 6, 2)
+        survival_probability(psi, H, [0.0, 0.5])
+        setup = zeno.ZenoSetup(H, P)
+        assert len(eigh_calls) == 1
+        H[0, 0] += 1.0
+        P[0, 0] += 1.0
+        assert not setup.hamiltonian.flags.writeable
+        assert not np.shares_memory(setup.hamiltonian, H)
+
+    def test_threads_sharing_the_memo_get_a_fresh_eighs_bits(self):
+        # Three matrices for two places: hits and evictions interleave.
+        rng = np.random.default_rng(7)
+        matrices = [random_hermitian(rng, 6) for _ in range(3)]
+        want = [eigh_bits(numpy_eigh(M)) for M in matrices]
+        wrong = []
+
+        def work(k):
+            for i in range(100):
+                j = (i + k) % 3
+                if eigh_bits(linalg._eigh(matrices[j].copy())) != want[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @given(hermitian_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_a_hit_gives_a_fresh_eighs_bits(self, H):
+        linalg._eigh_memo.clear()
+        linalg._eigh(H.copy())
+        hit = linalg._eigh(H.copy())
+        assert len(linalg._eigh_memo) == 1
+        assert eigh_bits(hit) == eigh_bits(numpy_eigh(H))
 
 
 class TestStacks:

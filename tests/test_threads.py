@@ -163,6 +163,56 @@ def test_a_large_command_runs_on_the_recorded_threads(argv, observe, monkeypatch
     assert after == 1
 
 
+# Each library call and a function its body calls after the checks.
+LIBRARY = {
+    "ZenoSetup": (lambda H, P, psi, phi: zeno.ZenoSetup(H, P, psi), (zeno, "require_projector")),
+    "convergence_scan": (lambda H, P, psi, phi: zeno.convergence_scan(zeno.ZenoSetup(H, P), 1.0, [8, 16]), (zeno, "_step_power")),
+    "zeno_product": (lambda H, P, psi, phi: zeno.zeno_product(zeno.ZenoSetup(H, P), 1.0, 8), (zeno, "_step_power")),
+    "measured_trajectory": (lambda H, P, psi, phi: zeno.measured_trajectory(zeno.ZenoSetup(H, P, psi), 1.0, 8, 2), (zeno, "_step_power")),
+    "zeno_hamiltonian": (lambda H, P, psi, phi: zeno.zeno_hamiltonian(H, P), (zeno, "require_projector")),
+    "zeno_limit_unitary": (lambda H, P, psi, phi: zeno.zeno_limit_unitary(H, P, 1.0), (zeno, "_propagator")),
+    "survival_probability": (lambda H, P, psi, phi: linalg.survival_probability(phi, H, [0.0, 1.0]), (linalg, "_amplitudes")),
+    "survival_amplitude": (lambda H, P, psi, phi: linalg.survival_amplitude(phi, H, 1.0), (linalg, "_amplitudes")),
+    "short_time_coefficient": (lambda H, P, psi, phi: linalg.short_time_coefficient(phi, H), (linalg, "_probabilities")),
+    "evolve": (lambda H, P, psi, phi: linalg.evolve(phi, H, 1.0), (linalg, "_propagator")),
+    "expm_antihermitian": (lambda H, P, psi, phi: linalg.expm_antihermitian(H, 1.0), (linalg, "_propagator")),
+}
+
+
+@needs_api
+@pytest.mark.parametrize("work, observe", LIBRARY.values(), ids=LIBRARY)
+def test_a_large_library_call_runs_on_the_recorded_threads(work, observe, monkeypatch):
+    # As for a command: a library call on random:384 runs its products on
+    # the recorded count, one on random:383 on 1, and each leaves 1 behind.
+    get, set_ = API
+    own = get()
+    monkeypatch.setattr(linalg, "_BLAS_API", API)
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", 2)
+    module, name = observe
+    call = getattr(module, name)
+    seen = []
+
+    def observed(*args):
+        seen[-1].add(get())
+        return call(*args)
+
+    monkeypatch.setattr(module, name, observed)
+    try:
+        set_(1)
+        for n in (linalg.PARALLEL_DIM - 1, linalg.PARALLEL_DIM):
+            rng = np.random.default_rng(n)
+            H = cli.parse_hamiltonian_spec(f"random:{n}", rng)
+            P = cli.parse_projector_spec("random:2", n, rng)
+            psi = P @ cli.parse_state_spec("random", n, rng)
+            seen.append(set())
+            work(H, P, psi / np.linalg.norm(psi), cli.parse_state_spec("random", n, rng))
+        after = get()
+    finally:
+        set_(own)
+    assert seen == [{1}, {2}]
+    assert after == 1
+
+
 def test_every_eigh_goes_through_the_one_path():
     # The one np.linalg.eigh call of the package is in _eigh.
     calls = [
