@@ -4,12 +4,12 @@ States are plain 1-D complex128 arrays, operators plain 2-D complex128
 arrays; validation lives in the ``require_*`` / ``as_*`` helpers instead of
 wrapper classes.  Every function is pure and leaves its inputs untouched.
 
-Every eigh of the package goes through _eigh, which keeps the last
-_EIGH_MEMO_SIZE = 2 matrices it decomposed and their eigenpairs, and
-returns the held pair for a matrix equal to one of them bit for bit: a
-study that sweeps N, t, P or psi0 decomposes its fixed H once.  It holds
-the caller's own array, a checked copy such as ZenoSetup.hamiltonian,
-and makes it read-only, as are the E and V it returns.
+Every eigh of the package goes through _eigh, which keeps copies of the
+last _EIGH_MEMO_SIZE = 2 matrices of at most _EIGH_MEMO_BYTES (n <= 256)
+it decomposed, with their eigenpairs, and returns copies of the held
+pair for a matrix equal to one of them bit for bit: in one process, a
+study that sweeps P or psi0 with a fixed H of that size decomposes H
+once.  A larger H is decomposed on every call and never held.
 
 BLAS threads: importing the module sets the OpenBLAS that numpy ships to
 one thread, process-wide, and records the count it had.  blas_threads(n)
@@ -29,6 +29,7 @@ import contextlib
 import ctypes
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -122,41 +123,38 @@ def blas_threads(n: int):
         set_(before)
 
 
-#: The last _EIGH_MEMO_SIZE matrices _eigh decomposed, least recently used
-#: first, each read-only with its read-only eigenpairs (E, V).
+#: The last _EIGH_MEMO_SIZE matrices _eigh decomposed and held, least
+#: recently used first: (bits of H, E, V), all three the memo's own copies.
 _eigh_memo: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 _EIGH_MEMO_SIZE = 2
-
-
-def _same_bits(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether A and B have one dtype, one shape and the same bits in
-    every entry: -0.0 and 0.0 differ, and a nan matches its own bits."""
-    if A.dtype != B.dtype or A.shape != B.shape:
-        return False
-    bits = np.dtype(f"u{A.real.itemsize}")
-    return all(np.array_equal(a.view(bits), b.view(bits)) for a, b in ((A.real, B.real), (A.imag, B.imag)))
+#: The largest H, in bytes, that _eigh holds: n = 256 in complex128.  The
+#: memo then keeps at most 2 (H + V + E), about 4 MiB, alive between calls.
+_EIGH_MEMO_BYTES = 1 << 20
+_eigh_lock = threading.Lock()
 
 
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(H), taken once for a matrix that is bit for bit one
-    of the last _EIGH_MEMO_SIZE decomposed.
+    """np.linalg.eigh(H), taken once for a complex128 matrix of at most
+    _EIGH_MEMO_BYTES that is bit for bit one of the last _EIGH_MEMO_SIZE
+    held; any other H is decomposed with no lookup and nothing held.
 
-    H must be the caller's own array, which nothing writes to afterwards:
-    a require_hermitian copy or a temporary.  _eigh makes it read-only and
-    holds it, uncopied, as the memo's key; E and V are read-only too.
-    Each call reads one list and binds a new one, so a call in another
-    thread at most loses an entry: a hit's key always equals H.
+    The key is the entries' bits in C order, whatever H's layout, so
+    -0.0 and 0.0 differ and a nan matches its own bits.  The memo keeps
+    its own copies and a hit returns fresh copies of them, so H, E and V
+    stay the caller's, writable, as without the memo.
     """
-    global _eigh_memo
-    H.flags.writeable = False
-    memo = _eigh_memo
-    for entry in memo:
-        if _same_bits(entry[0], H):
-            _eigh_memo = [*(e for e in memo if e is not entry), entry]
-            return entry[1], entry[2]
+    if H.dtype != np.complex128 or H.nbytes > _EIGH_MEMO_BYTES:
+        return _decompose(H)
+    key = np.ascontiguousarray(H).view(np.uint64)
+    with _eigh_lock:
+        for i, (bits, E, V) in enumerate(_eigh_memo):
+            if np.array_equal(bits, key):
+                _eigh_memo.append(_eigh_memo.pop(i))
+                return E.copy(), V.copy()
     E, V = _decompose(H)
-    E.flags.writeable = V.flags.writeable = False
-    _eigh_memo = [*memo, (H, E, V)][-_EIGH_MEMO_SIZE:]
+    with _eigh_lock:
+        _eigh_memo.append((key.copy(), E.copy(), V.copy()))
+        del _eigh_memo[:-_EIGH_MEMO_SIZE]
     return E, V
 
 

@@ -58,9 +58,7 @@ class ZenoSetup:
     leakage is 0, with no product formed.
 
     The constructor, the one way to build a setup, checks H and P once
-    each and keeps the checked copies.  ``hamiltonian`` and ``energies``
-    are read-only: linalg._eigh holds them, so that an equal H is
-    decomposed only once.  Setups compare and hash by identity.
+    each and keeps the checked copies.  Setups compare and hash by identity.
     """
 
     hamiltonian: np.ndarray

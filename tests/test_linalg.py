@@ -588,13 +588,17 @@ class TestEighMemo:
         assert len(eigh_calls) == 4
         assert len(linalg._eigh_memo) == 2
 
-    def test_held_and_returned_arrays_are_read_only(self):
+    def test_returned_arrays_are_the_callers(self, eigh_calls):
+        # Writing into what a miss or a hit returned, or into H, leaves
+        # the held pair as it was.
         H = random_hermitian(np.random.default_rng(5), 5)
-        E, V = linalg._eigh(H)
-        for array in (H, E, V, *linalg._eigh_memo[0]):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        want = eigh_bits(numpy_eigh(H))
+        for _ in range(2):
+            E, V = linalg._eigh(H)
+            E[0] = V[0, 0] = H[0, 1] = np.nan
+            H = random_hermitian(np.random.default_rng(5), 5)
+        assert eigh_bits(linalg._eigh(H)) == want
+        assert len(eigh_calls) == 1
 
     def test_a_callers_matrix_stays_writable(self, eigh_calls):
         rng = np.random.default_rng(6)
@@ -606,8 +610,19 @@ class TestEighMemo:
         assert len(eigh_calls) == 1
         H[0, 0] += 1.0
         P[0, 0] += 1.0
-        assert not setup.hamiltonian.flags.writeable
+        for array in (setup.hamiltonian, setup.energies, setup.overlaps):
+            assert array.flags.writeable
         assert not np.shares_memory(setup.hamiltonian, H)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_only_a_complex_matrix_within_the_bound_is_held(self, n, eigh_calls):
+        H = random_hermitian(np.random.default_rng(n), n)
+        assert linalg._EIGH_MEMO_BYTES == 256 * 256 * 16
+        for M in (H, H.copy(), H.real.copy(), H.real.copy()):
+            linalg._eigh(M)
+        held = n * n * 16 <= linalg._EIGH_MEMO_BYTES
+        assert len(eigh_calls) == (3 if held else 4)
+        assert len(linalg._eigh_memo) == held
 
     def test_threads_sharing_the_memo_get_a_fresh_eighs_bits(self):
         # Three matrices for two places: hits and evictions interleave.
