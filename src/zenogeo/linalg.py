@@ -14,14 +14,14 @@ once.  A larger H is decomposed on every call and never held.
 BLAS threads: importing the module sets the OpenBLAS that numpy ships to
 one thread, process-wide, and records the count it had.  blas_threads(n)
 gives a block of work on dimension n >= PARALLEL_DIM the recorded count
-and then puts back the count in force before it; _eigh, the library
+and then puts back the count in force before it; _eigh and the library
 calls on a Hamiltonian (ZenoSetup, the scan, products and trajectories
-of zeno, and the propagator and survival functions here) and the CLI's
-commands run in it.  The count is a setting of the whole process: a
-large eigh must not run alongside BLAS work in other Python threads.
-The rule stands aside when the user sets OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS, and where numpy's BLAS is not an
-OpenBLAS found in numpy's wheel directories.
+of zeno, the propagator, survival, variance and zeno_time here) run their
+work after the checks in it, and the CLI its random:r preset's qr alone.
+The count is a setting of the whole process: a large eigh must not run
+alongside BLAS work in other Python threads.  The rule stands aside when
+the user sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS,
+and where numpy's BLAS is not an OpenBLAS found in numpy's wheel directories.
 """
 from __future__ import annotations
 
@@ -420,9 +420,10 @@ def variance(H, psi) -> float:
     psi, n2 = _nonzero_state(psi)
     H = require_hermitian(H)
     _require_fits(psi, H)
-    Hpsi = H @ psi
-    mean = float(np.real(np.vdot(psi, Hpsi))) / n2
-    second = float(np.real(np.vdot(Hpsi, Hpsi))) / n2
+    with blas_threads(H.shape[0]):
+        Hpsi = H @ psi
+        mean = float(np.real(np.vdot(psi, Hpsi))) / n2
+        second = float(np.real(np.vdot(Hpsi, Hpsi))) / n2
     return second - mean * mean
 
 

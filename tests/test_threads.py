@@ -1,7 +1,7 @@
 """The BLAS thread rule of linalg: one OpenBLAS thread after import, the
-recorded count for an eigh or a CLI command of dimension PARALLEL_DIM or
-more, and nothing touched where the user set a thread variable or there
-is no OpenBLAS API."""
+recorded count for an eigh or a library call of dimension PARALLEL_DIM or
+more, and so for a CLI command on such a Hamiltonian, and nothing touched
+where the user set a thread variable or there is no OpenBLAS API."""
 import json
 import os
 import pathlib
@@ -127,14 +127,16 @@ def test_large_eigh_runs_on_the_recorded_threads(before, recorded, fails, monkey
 @pytest.mark.parametrize(
     "argv, observe",
     [
-        (["converge", "--projector", "random:2", "--n-max", "8"], (zeno, "convergence_scan")),
-        (["survival", "--state", "random", "--t-max", "1", "--samples", "2"], (linalg, "survival_probability")),
+        (["converge", "--projector", "random:2", "--n-max", "8"], (zeno, "_step_power")),
+        (["survival", "--state", "random", "--t-max", "1", "--samples", "2"], (linalg, "_amplitudes")),
     ],
     ids=["converge", "survival"],
 )
 def test_a_large_command_runs_on_the_recorded_threads(argv, observe, monkeypatch, capsys):
-    # All of a command's work, not only its eigh, runs on the recorded
-    # count from n = PARALLEL_DIM, and on the count before it afterwards.
+    # A command's work, not only its eigh, runs on the recorded count from
+    # n = PARALLEL_DIM, and on the count before it afterwards.  Observed
+    # inside the library calls, where the rule is applied: the one
+    # measured-step power of a scan to N = 8, and the one amplitude sum.
     get, set_ = API
     own = get()
     monkeypatch.setattr(linalg, "_BLAS_API", API)
@@ -176,6 +178,8 @@ LIBRARY = {
     "short_time_coefficient": (lambda H, P, psi, phi: linalg.short_time_coefficient(phi, H), (linalg, "_probabilities")),
     "evolve": (lambda H, P, psi, phi: linalg.evolve(phi, H, 1.0), (linalg, "_propagator")),
     "expm_antihermitian": (lambda H, P, psi, phi: linalg.expm_antihermitian(H, 1.0), (linalg, "_propagator")),
+    "variance": (lambda H, P, psi, phi: linalg.variance(H, phi), (np, "vdot")),
+    "zeno_time": (lambda H, P, psi, phi: linalg.zeno_time(phi, H), (np, "vdot")),
 }
 
 
@@ -224,15 +228,69 @@ def test_every_eigh_goes_through_the_one_path():
     assert calls == [("linalg.py", "        return np.linalg.eigh(H)")]
 
 
+CONVERGE_200 = ["converge", "--hamiltonian", "random:200", "--projector", "random:20", "--n-max", "65536"]
+
+
+@pytest.fixture(scope="module")
+def converge_200() -> bytes:
+    """The stdout of CONVERGE_200 run as python -m zenogeo.cli."""
+    proc = run(["-m", "zenogeo.cli", *CONVERGE_200])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @needs_api
-def test_converge_prints_the_bytes_of_a_one_thread_run():
+def test_converge_prints_the_bytes_of_a_one_thread_run(converge_200):
     # n = 200 is below PARALLEL_DIM: every BLAS call of the run is on one
     # thread, so the printed digits do not move with the host's cores.
     # Without the API the rule does nothing, and the default run is on
     # OpenBLAS's own count.
-    argv = ["-m", "zenogeo.cli", "converge", "--hamiltonian", "random:200",
-            "--projector", "random:20", "--n-max", "65536"]
-    default, one = run(argv), run(argv, OPENBLAS_NUM_THREADS="1")
-    assert default.returncode == one.returncode == 0, default.stderr + one.stderr
-    assert default.stdout == one.stdout
+    one = run(["-m", "zenogeo.cli", *CONVERGE_200], OPENBLAS_NUM_THREADS="1")
+    assert one.returncode == 0, one.stderr
+    assert converge_200 == one.stdout
+
+
+def test_a_second_converge_in_process_takes_no_eigh(converge_200, monkeypatch, capsys):
+    # Two runs through cli.main in one process print the module's bytes;
+    # the second takes no eigh, as H and its rank-20 compression are both
+    # in linalg._eigh's memo.
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    outs = []
+    for _ in range(2):
+        assert cli.main(CONVERGE_200) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs == [converge_200, converge_200]
+    assert calls == [200, 20]
+
+
+@needs_api
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--hamiltonian", "random:384", "--projector", "random:20", "--n-max", "64"],
+        ["converge", "--hamiltonian", "random:400", "--projector", "random:200", "--n-max", "64", "--seed", "3"],
+        ["survival", "--hamiltonian", "random:384", "--state", "random", "--t-max", "2", "--samples", "50"],
+        ["zeno-time", "--hamiltonian", "random:400", "--state", "random", "--seed", "5"],
+    ],
+    ids=["converge", "converge-rank-200", "survival", "zeno-time"],
+)
+def test_a_large_command_prints_the_bytes_of_a_run_on_the_recorded_count(argv, monkeypatch, capsys):
+    # From n = PARALLEL_DIM the printed digits follow the thread count: run
+    # in process, where the rule gives the random:r preset and each library
+    # call the recorded count, a command prints the bytes of a process
+    # whose every BLAS call runs on that count.  At rank 200 the preset's
+    # qr gives other bits on one thread than on two.
+    get, set_ = API
+    own = get()
+    monkeypatch.setattr(linalg, "_BLAS_API", API)
+    try:
+        set_(1)
+        code = cli.main(argv)
+    finally:
+        set_(own)
+    want = run(["-m", "zenogeo.cli", *argv], OPENBLAS_NUM_THREADS=str(linalg._BLAS_THREADS))
+    assert want.returncode == code == 0, want.stderr
+    assert capsys.readouterr().out.encode() == want.stdout
 
