@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -208,6 +209,22 @@ def _random_rank_projector(rng: np.random.Generator, n: int, r: int) -> np.ndarr
         return Q @ Q.conj().T
 
 
+def _draw_blocks(rng, draws, sizes, free, full) -> None:
+    """Draw a block of k rows for each k of sizes, in order, into
+    draws[buf, :k] for the next buffer index buf that free gives, and put
+    buf on full; stop at a None from free.  What a draw raises is put on
+    full in place of an index, for the caller to raise."""
+    try:
+        for k in sizes:
+            buf = free.get()
+            if buf is None:
+                return
+            rng.standard_normal(out=draws[buf, :k])
+            full.put(buf)
+    except BaseException as exc:  # raised again by the caller
+        full.put(exc)
+
+
 _PAULI = {"sigma_x": linalg.SIGMA_X, "sigma_y": linalg.SIGMA_Y, "sigma_z": linalg.SIGMA_Z}
 _BLOCH_STARTS = {
     "north": qubit.BlochPoint(1.0, 0.0, 0.0, 1.0),
@@ -379,43 +396,71 @@ def handle_brackets(args) -> int:
     worst = (0.0, -1, "")
     peak = np.zeros(2)  # the largest poisson and jordan deviations
     block = min(trials, max(1, BRACKET_BLOCK_BYTES // (16 * n * n)))
-    # Every block is drawn into, and built in, these buffers.  A draw of k
-    # rows into the first k rows of draws is the same stream as a fresh
-    # (k, 4n^2 + 2n) draw, and each row is sliced in the order of the
-    # draws of _random_hermitian for A, then B, then the state's real and
-    # imaginary parts: the same bits as one draw per trial.  devs holds a
-    # block's |poisson| and |jordan| deviations, a row per trial.
-    draws = np.empty((block, 4 * n * n + 2 * n))
+    sizes = [min(block, trials - first) for first in range(0, trials, block)]
+    # Blocks are drawn into two buffers in turn, and built in pairs; devs
+    # holds a block's |poisson| and |jordan| deviations, a row per trial.
+    # A draw of k rows into the first k rows of a buffer is the same
+    # stream as a fresh (k, 4n^2 + 2n) draw, and each row is sliced in the
+    # order of the draws of _random_hermitian for A, then B, then the
+    # state's real and imaginary parts: the same bits as one draw per
+    # trial.  Block 0 is drawn here.  A run of more blocks starts one
+    # helper thread, and from block 1 on only it touches rng: it draws the
+    # blocks in order, each into the buffer the caller gave back after its
+    # last read, while the caller evaluates the block before.  numpy fills
+    # a draw with the GIL released, and the helper makes no BLAS call, so
+    # linalg's thread rule holds.
+    draws = np.empty((2, block, 4 * n * n + 2 * n))
     pairs = np.empty((block, 2, n, n), dtype=np.complex128)
     devs = np.empty((block, 2))
-    for first in range(0, trials, block):
-        k = min(block, trials - first)
-        x = rng.standard_normal(out=draws[:k])
-        m = x[:, : 4 * n * n].reshape(k, 2, 2, n, n)
-        v = x[:, 4 * n * n :].reshape(k, 2, n)
-        # A and B are Hermitian by construction, so nothing checks them again.
-        mats = _hermitian_part(m, pairs[:k])
-        A, B = mats[:, 0], mats[:, 1]
-        psi = v[:, 0] + 1j * v[:, 1]
-        psi /= np.sqrt(linalg.norm_sq(psi))[:, None]
-        # One differential per function serves both brackets.
-        dA = geometry._differential(A, psi)
-        dB = geometry._differential(B, psi)
-        # comm = i(AB - BA) and anti = (AB + BA) / 2, in place.
-        comm, BA = A @ B, B @ A
-        anti = comm + BA
-        anti *= 0.5
-        comm -= BA
-        comm *= 1j
-        d = devs[:k]
-        np.subtract(geometry.symplectic_Omega(dA, dB), linalg.expectation_value(comm, psi), out=d[:, 0])
-        np.subtract(geometry.metric_G(dA, dB), linalg.expectation_value(anti, psi), out=d[:, 1])
-        np.abs(d, out=d)
-        np.maximum(peak, d.max(axis=0), out=peak)
-        # The first largest deviation in trial order, poisson before jordan.
-        i = int(np.argmax(d))
-        if d.flat[i] > worst[0]:
-            worst = (float(d.flat[i]), first + i // 2, ("poisson", "jordan")[i % 2])
+    rng.standard_normal(out=draws[0])
+    # Imported here: at module load it raised the peak RSS of every
+    # command, brackets or not, by about 0.25 MB.
+    import queue
+
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = None
+    if len(sizes) > 1:
+        free.put(1)
+        helper = threading.Thread(target=_draw_blocks, args=(rng, draws, sizes[1:], free, full), daemon=True)
+        helper.start()
+    try:
+        buf = 0
+        for j, k in enumerate(sizes):
+            if j:
+                buf = full.get()
+                if isinstance(buf, BaseException):
+                    raise buf
+            x = draws[buf, :k]
+            m = x[:, : 4 * n * n].reshape(k, 2, 2, n, n)
+            v = x[:, 4 * n * n :].reshape(k, 2, n)
+            # A and B are Hermitian by construction, so nothing checks them again.
+            mats = _hermitian_part(m, pairs[:k])
+            A, B = mats[:, 0], mats[:, 1]
+            psi = v[:, 0] + 1j * v[:, 1]
+            free.put(buf)  # after the last read of buffer buf
+            psi /= np.sqrt(linalg.norm_sq(psi))[:, None]
+            # One differential per function serves both brackets.
+            dA = geometry._differential(A, psi)
+            dB = geometry._differential(B, psi)
+            # comm = i(AB - BA) and anti = (AB + BA) / 2, in place.
+            comm, BA = A @ B, B @ A
+            anti = comm + BA
+            anti *= 0.5
+            comm -= BA
+            comm *= 1j
+            d = devs[:k]
+            np.subtract(geometry.symplectic_Omega(dA, dB), linalg.expectation_value(comm, psi), out=d[:, 0])
+            np.subtract(geometry.metric_G(dA, dB), linalg.expectation_value(anti, psi), out=d[:, 1])
+            np.abs(d, out=d)
+            np.maximum(peak, d.max(axis=0), out=peak)
+            # The first largest deviation in trial order, poisson before jordan.
+            i = int(np.argmax(d))
+            if d.flat[i] > worst[0]:
+                worst = (float(d.flat[i]), j * block + i // 2, ("poisson", "jordan")[i % 2])
+    finally:
+        if helper is not None:
+            free.put(None)
+            helper.join()
     max_poisson, max_jordan = peak.tolist()
     ok = max(max_poisson, max_jordan) <= BRACKET_TOL
     if args.format == "json":

@@ -19,7 +19,9 @@ calls on a Hamiltonian (ZenoSetup, the scan, products and trajectories
 of zeno, the propagator, survival, variance and zeno_time here) run their
 work after the checks in it, and the CLI its random:r preset's qr alone.
 The count is a setting of the whole process: a large eigh must not run
-alongside BLAS work in other Python threads.  The rule stands aside when
+alongside BLAS work in other Python threads.  The one thread the package
+starts, the draw helper of the CLI's brackets, only fills normal draws
+and makes no BLAS call.  The rule stands aside when
 the user sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS,
 and where numpy's BLAS is not an OpenBLAS found in numpy's wheel directories.
 """

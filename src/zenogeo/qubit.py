@@ -167,13 +167,13 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
     phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H,
-    and its 1 x 1 compression onto e1, the basis of range PROJECTOR_UP,
-    which is its own eigenpair (see linalg._hermitian_eigh): no eigh.
+    and its 1 x 1 compression e1^dagger H e1 onto e1, the basis of range
+    PROJECTOR_UP: the view H[:1, :1] of e1's row and column, taken with
+    no product.  A 1 x 1 matrix is its own eigenpair (see
+    linalg._hermitian_eigh): no eigh.
     """
     H = require_hermitian(hq.matrix())
-    e1 = PROJECTOR_UP[:, :1]
-    A = e1.conj().T @ H @ e1
-    amp = complex(_propagator(*_hermitian_eigh(A), float(t))[0, 0])
+    amp = complex(_propagator(*_hermitian_eigh(H[:1, :1]), float(t))[0, 0])
     return abs(amp) ** 2, amp
 
 

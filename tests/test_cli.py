@@ -6,7 +6,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -492,12 +495,21 @@ class TestBrackets:
         assert [bracket_block(n) for n in (1, 2, 16)] == [4096, 1024, 16]
 
     # Around each block edge: a block short of full, one full block, one
-    # trial into the next, and past two blocks (within --trials' bound).
+    # trial into the next, and past two blocks; then at 3k and 4k + 1
+    # trials, where the ring of two draw buffers wraps and each buffer is
+    # filled again (within --trials' bound: n = 2 wraps only in the tests
+    # with smaller blocks below).
     BLOCK_EDGES = [
         (n, trials, 20 + n)
         for n in (1, 2, 16)
         for k in [bracket_block(n)]
         for trials in (k - 1, k, k + 1, 2 * k + 1)
+        if trials <= cli.TRIALS_MAX
+    ] + [
+        (n, trials, 20 + n)
+        for n in (2, 3, 16)
+        for k in [bracket_block(n)]
+        for trials in (3 * k, 4 * k + 1)
         if trials <= cli.TRIALS_MAX
     ]
 
@@ -529,22 +541,27 @@ class TestBrackets:
         assert (passed, failed) == (0, 1)
         assert fail_report.splitlines()[-1].startswith("FAIL (tolerance 0); worst: trial ")
 
+    @classmethod
+    def deviation_lines(cls, n, trials, seed):
+        """The report's two deviation lines, from the per-trial deviations."""
+        max_poisson = max_jordan = 0.0
+        for dp, dj in cls.deviations(n, trials, seed):
+            max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
+        return [
+            f"max poisson deviation {cli._fmt(max_poisson)}",
+            f"max jordan deviation {cli._fmt(max_jordan)}",
+        ]
+
     def test_report_matches_the_per_bracket_functions(self, capsys):
         # Every run at n = 1 is one block, so BLOCK_EDGES holds none.
         one_block = [(1, 100, 21), (1, cli.TRIALS_MAX, 22)]
         for n, trials, seed in [(5, 60, 13), (16, 50, 17)] + one_block + self.BLOCK_EDGES:
-            max_poisson = max_jordan = 0.0
-            for dp, dj in self.deviations(n, trials, seed):
-                max_poisson, max_jordan = max(max_poisson, dp), max(max_jordan, dj)
             code, out, _ = run_cli(
                 ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
                 capsys,
             )
             assert code == 0
-            assert out.splitlines()[1:3] == [
-                f"max poisson deviation {cli._fmt(max_poisson)}",
-                f"max jordan deviation {cli._fmt(max_jordan)}",
-            ]
+            assert out.splitlines()[1:3] == self.deviation_lines(n, trials, seed)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fail_report(self, fmt, monkeypatch, capsys):
@@ -596,6 +613,162 @@ class TestBrackets:
         small, large = peak(300), peak(3000)
         capsys.readouterr()
         assert large <= 1.1 * small, (small, large)
+
+    # The helper thread that draws every block after the first.
+    @staticmethod
+    def run_joined(argv, capsys):
+        """run_cli(argv) on a caller thread, which must end within 60 s and
+        leave as many threads running, and OpenBLAS's thread count, as
+        before it; what the call raises is raised here."""
+        api = linalg._openblas_api()
+        before = threading.active_count(), api and api[0]()
+        result = []
+
+        def call():
+            try:
+                result.append(run_cli(argv, capsys))
+            except BaseException as exc:  # raised again below
+                result.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert (threading.active_count(), api and api[0]()) == before
+        if isinstance(result[0], BaseException):
+            raise result[0]
+        return result[0]
+
+    @staticmethod
+    def slow_draws(monkeypatch, delay=0.0, fail_at=None, error=None):
+        """Give brackets a generator whose every standard_normal first
+        sleeps delay, and whose draw number fail_at raises error."""
+        default_rng, calls = np.random.default_rng, []
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(threading.current_thread())
+                if len(calls) == fail_at:
+                    raise error
+                time.sleep(delay)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        return calls
+
+    # Blocks of 3 trials and 4 * 3 + 1 trials: five blocks, the last of
+    # one trial, and each of the two draw buffers filled at least twice.
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("slow", ["arithmetic", "draw"])
+    def test_a_slow_side_keeps_the_bytes(self, n, slow, monkeypatch, capsys):
+        trials, seed = 13, 40 + n
+        expected = self.deviation_lines(n, trials, seed)
+        monkeypatch.setattr(cli, "BRACKET_BLOCK_BYTES", 3 * 16 * n * n)
+        if slow == "draw":
+            calls = self.slow_draws(monkeypatch, delay=0.001)
+        else:
+            differential = geometry._differential
+
+            def slow_differential(A, psi):
+                time.sleep(0.001)
+                return differential(A, psi)
+
+            monkeypatch.setattr(geometry, "_differential", slow_differential)
+        code, out, err = self.run_joined(
+            ["brackets", "--n", str(n), "--trials", str(trials), "--seed", str(seed)], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == expected
+        if slow == "draw":
+            # Block 0 on the caller, every later block on the one helper.
+            assert len(calls) == 5 and calls[0] not in calls[1:]
+            assert len(set(calls[1:])) == 1
+
+    def test_a_block_that_raises_ends_the_helper(self, monkeypatch, capsys):
+        differential, calls = geometry._differential, []
+
+        def failing(A, psi):
+            calls.append(len(A))
+            if len(calls) == 5:  # block 2's first differential
+                raise ValueError("no differential")
+            return differential(A, psi)
+
+        # Of 9 blocks, the caller gives back the buffers of blocks 0, 1 and 2
+        # only: the helper then waits for one until the caller stops it.
+        monkeypatch.setattr(geometry, "_differential", failing)
+        code, out, err = self.run_joined(["brackets", "--n", "16", "--trials", "129"], capsys)
+        assert (code, out, err) == (2, "", "error: no differential\n")
+        assert calls == [16] * 5
+
+    class DrawError(Exception):
+        pass
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])
+    def test_a_draw_that_raises_surfaces_in_the_caller(self, fail_at, monkeypatch, capsys):
+        # Draw 1 is block 0's, on the caller; 2 and 4 run on the helper.
+        error = self.DrawError("no draw")
+        self.slow_draws(monkeypatch, fail_at=fail_at, error=error)
+        with pytest.raises(self.DrawError) as raised:
+            self.run_joined(["brackets", "--n", "16", "--trials", "65"], capsys)
+        assert raised.value is error
+
+    def test_a_draw_value_error_exits_2(self, monkeypatch, capsys):
+        self.slow_draws(monkeypatch, fail_at=3, error=ValueError("no draw"))
+        code, out, err = self.run_joined(["brackets", "--n", "16", "--trials", "65"], capsys)
+        assert (code, out, err) == (2, "", "error: no draw\n")
+
+    # A run of one block (every run at n = 1, and trials <= k) draws it on
+    # the caller and starts no thread; a run of more starts one.
+    @pytest.mark.parametrize(
+        "n, trials, started",
+        [(1, 1, 0), (1, cli.TRIALS_MAX, 0), (2, 1024, 0), (16, 1, 0), (16, 16, 0), (2, 1025, 1), (16, 17, 1)],
+    )
+    def test_threads_started(self, n, trials, started, monkeypatch, capsys):
+        starts = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(cli, "threading", types.SimpleNamespace(Thread=Recorded))
+        assert self.run_joined(["brackets", "--n", str(n), "--trials", str(trials)], capsys)[0] == 0
+        assert len(starts) == started
+        assert not any(t.is_alive() for t in starts)
+
+    def test_concurrent_runs_at_a_short_switch_interval(self, monkeypatch, tmp_path):
+        # Three runs at once, each with its helper, over blocks of one
+        # trial, with the interpreter switching threads every microsecond:
+        # a buffer drawn over before its last read, or a block drawn out of
+        # order, would change some report.
+        monkeypatch.setattr(cli, "BRACKET_BLOCK_BYTES", 1)
+        argv = ["brackets", "--n", "2", "--trials", "300", "--seed", "9"]
+        assert cli.main(argv + ["--out", str(tmp_path / "serial.txt")]) == 0
+        expected = (tmp_path / "serial.txt").read_bytes()
+        assert expected.decode().splitlines()[1:3] == self.deviation_lines(2, 300, 9)
+        threads, codes = threading.active_count(), []
+        runs = [
+            threading.Thread(
+                target=lambda i=i: codes.append(cli.main(argv + ["--out", str(tmp_path / f"{i}.txt")])), daemon=True
+            )
+            for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert codes == [0, 0, 0]
+        assert [(tmp_path / f"{i}.txt").read_bytes() for i in range(3)] == [expected] * 3
+        assert threading.active_count() == threads
 
     def test_never_checks_the_matrices_it_builds(self, record_calls, capsys):
         # A and B are Hermitian by construction: none of the 2 x 40
