@@ -243,7 +243,8 @@ def require_normalized(psi) -> np.ndarray:
 
 def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Coerce to a square complex128 matrix and check A = A^dagger entrywise."""
-    out = np.array(A, dtype=np.complex128, copy=True)
+    # C order: a float64 view of an F-ordered copy would raise.
+    out = np.array(A, dtype=np.complex128, order="C")
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {out.shape}")
     # Parts, not |A_ij|, which can overflow; |A_ij| <= sqrt(2) max part.
@@ -256,7 +257,11 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(
             f"operator scale n max|Re, Im A_ij| = {scale:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"
         )
-    dev = abs(out - out.conj().T).max()
+    # out - out.conj().T in place in a contiguous copy of out.T: less memory, faster.
+    d = out.T.copy()
+    np.conjugate(d, out=d)
+    np.subtract(out, d, out=d)
+    dev = abs(d).max()
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return out

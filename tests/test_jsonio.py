@@ -168,8 +168,9 @@ class TestDecoders:
         jsonio.save_state(path, np.array([complex(q, p) for q, p in pairs]))
         assert not isinstance(assert_loads_as_json_does(path), str)
 
-    # Subnormal, halfway, extreme and long-mantissa numbers, integers past
-    # 64 bits, and what only json reads.
+    # Subnormal, halfway, extreme and long-mantissa numbers, integers at
+    # and past the 64-bit edges, integer and float zeros, and what only json
+    # reads.
     @pytest.mark.parametrize(
         "number",
         [
@@ -177,6 +178,8 @@ class TestDecoders:
             "1.7976931348623157e308", "1.00000000000000011102230246251565404236316680908203125",
             "9007199254740993", "18446744073709551616", "-123456789012345678901234567890",
             "1e-400", "1e400", "NaN", "-Infinity",
+            "9223372036854775807", "18446744073709551615", "-9223372036854775808",
+            "0", "-0", "1e308", "1.2345678901234568e+29",
         ],
     )
     def test_number_reads_as_json_reads_it(self, decoder, number, tmp_path):
@@ -229,12 +232,14 @@ PLAIN = {"dim": 2, "re": [1.5, -0.0], "im": [0, 2e-3]}
 KEY_ORDERS = [("dim", "re", "im"), ("dim", "im", "re"), ("re", "dim", "im"),
               ("re", "im", "dim"), ("im", "dim", "re"), ("im", "re", "dim")]
 #: Texts that load, with whether their skeleton is plain: indent and CRLF
-#: layouts are, extra keys and NaN or Infinity entries are not.
+#: layouts are, and one with more than _HEAD_BYTES outside its lists, which
+#: json decodes; extra keys and NaN or Infinity entries are not.
 LOADING = {
     **{"order-" + "-".join(keys): (json.dumps({k: PLAIN[k] for k in keys}), True) for keys in KEY_ORDERS},
     "indent-2": (json.dumps(PLAIN, indent=2), True),
     "crlf": (json.dumps(PLAIN, indent=2).replace("\n", "\r\n"), True),
     "compact": (json.dumps(PLAIN, separators=(",", ":")), True),
+    "long-layout": (json.dumps(PLAIN)[:-1] + " " * jsonio._HEAD_BYTES + "}", True),
     "extra-key": (json.dumps({**PLAIN, "note": "x"}), False),
     "extra-number-key": (json.dumps({**PLAIN, "t": 1}), False),
     "extra-list-key": (json.dumps({**PLAIN, "x": [True, None]}), False),
@@ -243,7 +248,8 @@ LOADING = {
 }
 #: Texts that fail, with what their message holds and whether their
 #: skeleton is plain: "ree" loses its two e's, and the file its "re" key;
-#: orjson reads a dim past 64 bits as a float, json as an int.
+#: orjson reads a dim past 64 bits as a float, json as an int, and json an
+#: entry past the double range as an int that no double holds.
 FAILING = {
     "string-entry": ('{"dim": 2, "re": ["1", 0], "im": [0, 0]}', "JSON numbers", False),
     "string-e-entry": ('{"dim": 2, "re": ["e", 0], "im": [0, 0]}', "JSON numbers", False),
@@ -256,7 +262,17 @@ FAILING = {
     "key-re-spelled-ree": ('{"dim": 2, "ree": [1, 0], "im": [0, 0]}', "malformed", True),
     "dim-past-64-bits": ('{"dim": 123456789012345678901234567890, "re": [1], "im": [0]}', "expected dim", True),
     "bom": ("\ufeff" + json.dumps(PLAIN), "BOM", False),
+    "no-lists": ('{"dim": 1}', "malformed", False),
+    "one-list": ('{"dim": 1, "re": [1], "im": 0}', "malformed", False),
+    "reversed-brackets": ('{"dim": 1, "re": ]1[, "im": [0]}', "Expecting value", False),
+    "integer-past-doubles": ('{"dim": 1, "re": [1%s], "im": [0]}' % ("0" * 400), "malformed", True),
 }
+
+
+def is_plain(data: bytes) -> bool:
+    """Whether the skeleton of data, what is left of it less the bytes of
+    numbers and separators, is plain (see jsonio's docstring)."""
+    return data.translate(None, jsonio._NUMBER_BYTES) in jsonio._PLAIN_SKELETONS
 
 
 class TestSkeleton:
@@ -269,7 +285,7 @@ class TestSkeleton:
         path.write_bytes(text.encode())
         got = assert_loads_as_json_does(path)
         assert not isinstance(got, str), got
-        assert jsonio._plain(path.read_bytes()) is plain
+        assert is_plain(path.read_bytes()) is plain
 
     @pytest.mark.parametrize("text,match,plain", FAILING.values(), ids=FAILING)
     def test_bad_file_fails_as_json_reads_it(self, decoder, text, match, plain, tmp_path):
@@ -278,7 +294,7 @@ class TestSkeleton:
         with pytest.raises(ValueError, match=match):
             jsonio.load_state(path)
         assert_loads_as_json_does(path)
-        assert jsonio._plain(path.read_bytes()) is plain
+        assert is_plain(path.read_bytes()) is plain
 
     # A string would reach numpy, whose message names no field, and a dict
     # would be scanned by its keys; either part may be the one that is not
@@ -297,28 +313,51 @@ class TestSkeleton:
         with pytest.raises(ValueError, match="malformed field: re and im must be flat lists"):
             jsonio.load_matrix(path)
 
-    # Where "true" starts, against the scan's chunk boundaries: astride the
-    # first, just before and after it, and astride the second; the file is
-    # past 64 KiB.
-    @pytest.mark.parametrize("offset", [-2, -5, 0, 1, jsonio._SCAN_CHUNK - 2])
+    # Where "true" starts, against the nominal ends of the decode chunks,
+    # _DECODE_CHUNK bytes past the "[" or comma a chunk starts at: in the
+    # first chunk, not as its last entry; astride the first end; at it, as
+    # the chunk's last entry; just past the comma the chunk is cut at, as
+    # the next chunk's first; and astride the second end.  Entries of 18
+    # bytes make the chunks cut by bytes, not by count.
+    @pytest.mark.parametrize("offset", [-5, -2, 0, 1, jsonio._DECODE_CHUNK + 2])
     def test_true_entry_near_a_chunk_boundary(self, decoder, offset, tmp_path):
-        start = jsonio._SCAN_CHUNK + offset
+        number = "1.000000000000000"
         head = '{"re": ['
-        fill = start - len(head)
-        body = "1," * (fill // 2) + " " * (fill % 2)
-        entries = fill // 2 + 1 + 20000
-        tail = "," + ",".join(["1"] * 20000) + '], "im": [%s], "dim": %d}' % (",".join(["0"] * entries), entries)
+        start = len(head) - 1 + jsonio._DECODE_CHUNK + offset
+        # The numbers before the entry, spaces, and the comma just before it.
+        before, spaces = divmod(start - len(head), len(number) + 1)
+        body = ",".join([number] * before) + " " * spaces + ","
+        entries = before + 1 + 20000
+        tail = "," + ",".join([number] * 20000) + '], "im": [%s], "dim": %d}' % (",".join(["0"] * entries), entries)
         path = tmp_path / "psi.json"
         for entry, plain in [("true", False), ("1   ", True)]:
             text = head + body + entry + tail
-            assert text.index(entry) == start and len(text) > 65536
+            assert text.index(entry) == start
+            ends = [nominal for nominal, _ in chunk_ends(text, len(head) - 1, entries)]
+            assert start == (ends[0] + offset if offset < len(number) else ends[1] - 2)
             path.write_text(text)
-            assert jsonio._plain(text.encode()) is plain
+            assert is_plain(text.encode()) is plain
             got = assert_loads_as_json_does(path)
             if plain:
                 assert got[0] == (entries,)
             else:
                 assert got == "re and im entries must be JSON numbers"
+
+    # The last entry of a dim-200 matrix's im list, the last chunk a load
+    # decodes: json reads NaN and refuses the others.
+    @pytest.mark.parametrize("entry,want", [("true", False), ("NaN", True), ('"x"', False)])
+    def test_last_entry_of_a_large_file_loads_as_json_reads_it(self, decoder, entry, want, tmp_path):
+        path = tmp_path / "A.json"
+        jsonio.save_matrix(path, np.random.default_rng(6).standard_normal((200, 200)))
+        text = path.read_text()
+        assert text.endswith("0.0]}")
+        path.write_text(text[:-len("0.0]}")] + entry + "]}")
+        got = outcome(lambda: jsonio.load_matrix(path))
+        assert got == outcome(lambda: jsonio.matrix_from_dict(json.loads(path.read_text())))
+        if want:
+            assert got[0] == (200, 200)
+        else:
+            assert got == "re and im entries must be JSON numbers"
 
     @given(st.data())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -404,7 +443,7 @@ class TestChunks:
         chunks = [text[a + 1:b] for a, b in zip(bounds, bounds[1:])]
         assert chunks[0].rstrip().endswith(",") == (before == 1)
         assert any(chunk.isspace() for chunk in chunks) == (before > 1)
-        assert jsonio._plain(text.encode())
+        assert is_plain(text.encode())
         assert assert_loads_as_json_does(path).startswith("Expecting value")
 
     # A real matrix's im list is all 0.0, five bytes a number with its
@@ -466,31 +505,47 @@ ROUTED = {**LOADING, **{name: (text, plain) for name, (text, _, plain) in FAILIN
 def assert_chunked(calls, text: str):
     """Each call got a plain file's text outside its lists, first, or one
     chunk of a list, which is at most a chunk and a run between two commas
-    long; a list of one chunk comes as a view of the file's bytes."""
+    long."""
     longest = max(map(len, text.split(",")))
-    assert calls and bytes(calls[0]).count(b"[]") == 2
+    assert calls and calls[0].count(b"[]") == 2
     for call in calls:
-        skeleton = bytes(call).translate(None, jsonio._NUMBER_BYTES)
+        skeleton = call.translate(None, jsonio._NUMBER_BYTES)
         if skeleton != b"[]":
             assert skeleton in jsonio._PLAIN_SKELETONS
-        elif len(text) < jsonio._DECODE_CHUNK:
-            assert type(call) is memoryview
         else:
             assert len(call) <= jsonio._DECODE_CHUNK + longest + 2
+
+
+def outside_lists(data: bytes) -> bytes | None:
+    """The text of data outside its lists, the first and the last bracket
+    pair, brackets kept; None without two such pairs."""
+    try:
+        o1, c1 = data.index(b"["), data.index(b"]")
+        o2, c2 = data.index(b"[", c1), data.rindex(b"]")
+    except ValueError:
+        return None
+    return data[:o1 + 1] + data[c1:o2 + 1] + data[c2:]
 
 
 class TestRouting:
     """orjson decodes plain files and no other, a chunk at a time."""
 
+    # A file whose text outside its lists is not plain, or longer than
+    # _HEAD_BYTES, makes no call; any other file's calls are each a plain
+    # skeleton or a list of numbers, so orjson never meets a string, a
+    # literal or a nesting.
     @pytest.mark.parametrize("text,plain", ROUTED.values(), ids=ROUTED)
     def test_only_a_plain_file_reaches_orjson(self, orjson_calls, text, plain, tmp_path):
         path = tmp_path / "psi.json"
         path.write_bytes(text.encode())
         assert_loads_as_json_does(path)
-        if plain:
-            assert_chunked(orjson_calls, text)
-        else:
+        head = outside_lists(text.encode())
+        if head is None or not is_plain(head) or len(head) > jsonio._HEAD_BYTES + 2:
             assert orjson_calls == []
+        elif plain:
+            assert_chunked(orjson_calls, text)
+        for call in orjson_calls:
+            assert is_plain(call) or call.translate(None, jsonio._NUMBER_BYTES) == b"[]"
 
     def test_a_large_file_reaches_orjson_a_chunk_at_a_time(self, orjson_calls, tmp_path):
         rng = np.random.default_rng(3)
@@ -517,19 +572,6 @@ class TestRouting:
         with pytest.raises(ValueError, match="JSON nested too deeply"):
             jsonio.load_state(path)
         assert orjson_calls == []
-
-    # One translate of the whole file would hold a copy of its size: that
-    # raised the zeno-ladder benchmark's peak RSS by 5.7%.
-    def test_scan_holds_a_few_chunks_of_a_large_file(self):
-        data = json.dumps(jsonio.matrix_to_dict(np.full((300, 300), 1 / 3))).encode()
-        assert len(data) > 1 << 20
-        tracemalloc.start()
-        try:
-            assert jsonio._plain(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * jsonio._SCAN_CHUNK
 
     # A plain load holds the file's bytes, its array and a chunk's list,
     # never a list of every entry, as a whole-file decode did.  A chunk of

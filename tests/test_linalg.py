@@ -360,6 +360,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="square"):
             linalg.require_hermitian(np.full((2, 3), entry))
 
+    # The deviation is max |A_ij - conj(A_ji)| as abs(A - A.conj().T).max()
+    # gives it, bit for bit: a tol of that value passes, and one a step
+    # below it fails with that value in the message.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])
+    @pytest.mark.parametrize("kind", ["random", "hermitian", "fortran", "signed-zeros", "subnormal"])
+    def test_hermitian_deviation_is_the_entrywise_one(self, n, kind):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "hermitian":
+            A = A + A.conj().T
+        elif kind == "fortran":
+            A = np.asfortranarray(A)
+        elif kind == "signed-zeros":
+            A.real, A.imag = rng.choice([0.0, -0.0, 1.0], (2, n, n))
+        elif kind == "subnormal":
+            A = A + A.conj().T + 5e-324 * rng.integers(-3, 4, (n, n))
+        dev = abs(A - A.conj().T).max()
+        assert linalg.require_hermitian(A, tol=dev) is not A
+        message = f"matrix is not Hermitian (max deviation {dev:.3e})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            linalg.require_hermitian(A, tol=np.nextafter(dev, -math.inf))
+
     def test_projector_validation(self):
         linalg.require_projector(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="idempotent"):
