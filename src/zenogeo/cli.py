@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: survival, zeno-time, converge, flow, brackets, freeze.
-Inputs are JSON files (see jsonio) or presets, random ones drawn from
---seed; below dimension linalg.PARALLEL_DIM outputs are byte-stable, and
-from it the random:r bits and printed digits follow linalg's BLAS threads.
+Inputs are JSON files (see jsonio) or presets, random ones fixed by --seed
+unless a thread variable sets more than one thread; outputs are byte-stable
+below linalg.PARALLEL_DIM, and from it their digits follow its BLAS threads.
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
 from __future__ import annotations
@@ -204,9 +204,8 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _random_rank_projector(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     R = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    with linalg.blas_threads(n):
-        Q, _ = np.linalg.qr(R)
-        return Q @ Q.conj().T
+    Q, _ = np.linalg.qr(R)
+    return Q @ Q.conj().T
 
 
 def _draw_blocks(rng, draws, sizes, free, full) -> None:

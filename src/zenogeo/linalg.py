@@ -17,7 +17,7 @@ gives a block of work on dimension n >= PARALLEL_DIM the recorded count
 and then puts back the count in force before it; _eigh and the library
 calls on a Hamiltonian (ZenoSetup, the scan, products and trajectories
 of zeno, the propagator, survival, variance and zeno_time here) run their
-work after the checks in it, and the CLI its random:r preset's qr alone.
+work after the checks in it.
 The count is a setting of the whole process: a large eigh must not run
 alongside BLAS work in other Python threads.  The one thread the package
 starts, the draw helper of the CLI's brackets, only fills normal draws

@@ -1,7 +1,8 @@
 """The BLAS thread rule of linalg: one OpenBLAS thread after import, the
 recorded count for an eigh or a library call of dimension PARALLEL_DIM or
 more, and so for a CLI command on such a Hamiltonian, and nothing touched
-where the user set a thread variable or there is no OpenBLAS API."""
+where the user set a thread variable or there is no OpenBLAS API; and how
+far a command's printed numbers move between two counts."""
 import json
 import os
 import pathlib
@@ -265,32 +266,117 @@ def test_a_second_converge_in_process_takes_no_eigh(converge_200, monkeypatch, c
     assert calls == [200, 20]
 
 
-@needs_api
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["converge", "--hamiltonian", "random:384", "--projector", "random:20", "--n-max", "64"],
-        ["converge", "--hamiltonian", "random:400", "--projector", "random:200", "--n-max", "64", "--seed", "3"],
-        ["survival", "--hamiltonian", "random:384", "--state", "random", "--t-max", "2", "--samples", "50"],
-        ["zeno-time", "--hamiltonian", "random:400", "--state", "random", "--seed", "5"],
-    ],
-    ids=["converge", "converge-rank-200", "survival", "zeno-time"],
+# Saves to sys.argv[1], by jsonio, the P that converge --hamiltonian
+# random:400 --projector random:200 --seed 3 draws.
+SAVE_RANK_200 = (
+    "import sys; import numpy as np; from zenogeo import cli, jsonio; "
+    "rng = np.random.default_rng(3); cli.parse_hamiltonian_spec('random:400', rng); "
+    "jsonio.save_matrix(sys.argv[1], cli.parse_projector_spec('random:200', 400, rng))"
 )
-def test_a_large_command_prints_the_bytes_of_a_run_on_the_recorded_count(argv, monkeypatch, capsys):
-    # From n = PARALLEL_DIM the printed digits follow the thread count: run
-    # in process, where the rule gives the random:r preset and each library
-    # call the recorded count, a command prints the bytes of a process
-    # whose every BLAS call runs on that count.  At rank 200 the preset's
-    # qr gives other bits on one thread than on two.
+
+
+@pytest.fixture(scope="module")
+def rank_200(tmp_path_factory) -> pathlib.Path:
+    """SAVE_RANK_200's file, drawn with none of the thread variables set."""
+    path = tmp_path_factory.mktemp("rank-200") / "P.json"
+    proc = run(["-c", SAVE_RANK_200, str(path)])
+    assert proc.returncode == 0, proc.stderr
+    return path
+
+
+@needs_api
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS may cap a count at the cores")
+def test_a_seed_fixes_a_random_rank_preset(rank_200, tmp_path):
+    # The preset's qr and QQ^dagger run on the count in force, one after
+    # import, so P follows --seed alone: a draw with no thread variable
+    # saves the bytes of one under OPENBLAS_NUM_THREADS=1.  At rank 200
+    # qr gives other bits on two threads than on one.
+    one = tmp_path / "P.json"
+    proc = run(["-c", SAVE_RANK_200, str(one)], OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert one.read_bytes() == rank_200.read_bytes()
+
+
+# Commands on n >= PARALLEL_DIM; {P} stands for the rank_200 file.
+LARGE = {
+    "converge": ["converge", "--hamiltonian", "random:384", "--projector", "random:20", "--n-max", "64"],
+    "converge-rank-200": ["converge", "--hamiltonian", "random:400", "--projector", "{P}", "--n-max", "64", "--seed", "3"],
+    "survival": ["survival", "--hamiltonian", "random:384", "--state", "random", "--t-max", "2", "--samples", "50"],
+    "zeno-time": ["zeno-time", "--hamiltonian", "random:400", "--state", "random", "--seed", "5"],
+}
+
+
+def in_process(argv, monkeypatch, capsys) -> bytes:
+    """The stdout of cli.main(argv) with the rule holding the API, from
+    one thread: each library call runs on the recorded count."""
     get, set_ = API
     own = get()
     monkeypatch.setattr(linalg, "_BLAS_API", API)
     try:
         set_(1)
-        code = cli.main(argv)
+        assert cli.main(argv) == 0
     finally:
         set_(own)
-    want = run(["-m", "zenogeo.cli", *argv], OPENBLAS_NUM_THREADS=str(linalg._BLAS_THREADS))
-    assert want.returncode == code == 0, want.stderr
-    assert capsys.readouterr().out.encode() == want.stdout
+    return capsys.readouterr().out.encode()
 
+
+@needs_api
+@pytest.mark.parametrize("argv", LARGE.values(), ids=LARGE)
+def test_a_large_command_prints_the_bytes_of_a_run_on_the_recorded_count(argv, rank_200, monkeypatch, capsys):
+    # From n = PARALLEL_DIM the printed digits follow the thread count: run
+    # in process, a command prints the bytes of a process whose every BLAS
+    # call runs on the recorded count.  The rank-200 P is read from a file,
+    # as its draw runs on the count in force in either process.
+    argv = [arg.format(P=rank_200) for arg in argv]
+    out = in_process(argv, monkeypatch, capsys)
+    want = run(["-m", "zenogeo.cli", *argv], OPENBLAS_NUM_THREADS=str(linalg._BLAS_THREADS))
+    assert want.returncode == 0, want.stderr
+    assert out == want.stdout
+
+
+def columns(out: bytes) -> dict[str, np.ndarray]:
+    """A command's csv stdout by column, and a '# slope s' trailer as the
+    column slope."""
+    head, *lines = out.decode().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(head.split(","))}
+    cols.update((line.split()[1], float(line.split()[2])) for line in lines if line.startswith("#"))
+    return cols
+
+
+def thread_tolerance(command: str, cols, n: int, norm: float, r: int, t: float) -> dict:
+    """How far each printed number of command may move between two BLAS
+    thread counts, as README "BLAS threads" states it: first order in the
+    eigh and qr backward errors, n eps |H| each, and for converge in the
+    roundoff of N powered steps as well."""
+    eps = np.finfo(np.float64).eps
+    if command == "survival":
+        ht = norm * cols["t"]
+        return {"t": 0.0, "p": 4 * n * eps * (1 + ht), "quadratic_approx": 4 * n * eps * ht**2}
+    if command == "zeno-time":
+        var = 4 * n * eps * norm**2
+        return {"variance": var, "tau_z": var / (2 * cols["variance"]) * cols["tau_z"]}
+    err = 2 * np.sqrt(r) * eps * (2 * n * norm * t + cols["N"])
+    return {"N": 0.0, "error_spectral": err, "error_frobenius": err, "slope": 3 * np.max(err / cols["error_spectral"])}
+
+
+@needs_api
+@pytest.mark.parametrize("argv", LARGE.values(), ids=LARGE)
+def test_a_large_command_moves_within_its_thread_tolerance(argv, rank_200, monkeypatch, capsys):
+    # A run on the recorded count and one under OPENBLAS_NUM_THREADS=1 print
+    # numbers within thread_tolerance of each other.
+    argv = [arg.format(P=rank_200) for arg in argv]
+    rule = columns(in_process(argv, monkeypatch, capsys))
+    proc = run(["-m", "zenogeo.cli", *argv], OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    one = columns(proc.stdout)
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    rng = np.random.default_rng(int(flags.get("--seed", 0)))
+    H = cli.parse_hamiltonian_spec(flags["--hamiltonian"], rng)
+    n = H.shape[0]
+    r = round(np.trace(cli.parse_projector_spec(flags["--projector"], n, rng)).real) if "--projector" in flags else n
+    norm = np.abs(np.linalg.eigvalsh(H)).max()
+    tol = thread_tolerance(argv[0], one, n, norm, r, float(flags.get("--t", 1.0)))
+    assert tol.keys() == one.keys() == rule.keys()
+    for name, bound in tol.items():
+        assert np.all(np.abs(rule[name] - one[name]) <= bound), name
