@@ -306,7 +306,8 @@ def _require_finite_phases(E: np.ndarray, t) -> None:
     """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
     Python floats, where an overflow gives inf and no warning.  The one
     time check: a nan or infinite t fails even at E = 0, as 0 * inf is nan."""
-    phase = float(abs(E).max(initial=0.0)) * float(np.abs(t).max(initial=0.0))
+    tmax = abs(t) if type(t) is float else float(np.abs(t).max(initial=0.0))
+    phase = float(abs(E).max(initial=0.0)) * tmax
     if not math.isfinite(phase):
         raise ValueError(f"phase max|E| max|t| = {phase!r} is not finite")
 

@@ -15,7 +15,9 @@ generated by PHP = (h0 + hz) |e1><e1|; its Bloch image keeps u and z fixed
 and precesses (x, y) counterclockwise at angular rate h0 + hz.  (The
 off-diagonal coordinates x, y beat at the frequency difference of the two
 levels of PHP, which is (h0 + hz) - 0 since the orthogonal level carries
-eigenvalue zero.)
+eigenvalue zero.)  The prepared state e1 is a fixed point of the flow: it
+only gains the phase exp(-i (h0 + hz) t).  Rotation and phase are closed
+forms, taken after linalg's one time check and with no propagator.
 """
 from __future__ import annotations
 
@@ -26,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _hermitian_eigh,
     _nonzero_state,
-    _propagator,
     _require_count,
     _require_finite_phases,
     as_state,
@@ -75,8 +75,10 @@ class BlochPoint:
     z: float
 
     def __post_init__(self):
-        for name in ("u", "x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "z", float(self.z))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.x, self.y, self.z], dtype=np.float64)
@@ -166,14 +168,16 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
 
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
-    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H,
-    and its 1 x 1 compression e1^dagger H e1 onto e1, the basis of range
-    PROJECTOR_UP: the view H[:1, :1] of e1's row and column, taken with
-    no product.  A 1 x 1 matrix is its own eigenpair (see
-    linalg._hermitian_eigh): no eigh.
+    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H; its
+    1 x 1 compression onto e1 is the rate Re H[0, 0] = h0 + hz, and after
+    the one time check the phase is formed in closed form: no propagator.
+    Complex operands throughout, as in numpy's -1j * E * t, so no zero's
+    sign hangs on how the interpreter mixes real and complex operands.
     """
     H = require_hermitian(hq.matrix())
-    amp = complex(_propagator(*_hermitian_eigh(H[:1, :1]), float(t))[0, 0])
+    w, t = float(H[0, 0].real), float(t)
+    _require_finite_phases(np.array([w]), t)
+    amp = cmath.exp(complex(-0.0, -1.0) * complex(w, 0.0) * complex(t, 0.0))
     return abs(amp) ** 2, amp
 
 

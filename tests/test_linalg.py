@@ -254,6 +254,25 @@ def test_non_finite_time_rejected_at_zero_hamiltonian(name, t):
         TIMED[name](t)
 
 
+def phase_verdict(E, t):
+    try:
+        linalg._require_finite_phases(E, t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("E", [[0.0], [1.0], [1e308], [2.0, -3.0]], ids=str)
+@pytest.mark.parametrize("t", [0.0, -0.0, 5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan], ids=repr)
+def test_phase_rule_reads_a_scalar_time_in_every_form(E, t):
+    # A Python float time is read as abs(t), any other as an array
+    # reduction: one verdict, and one message, for every form of one time.
+    phase = max(abs(e) for e in E) * abs(t)
+    want = None if math.isfinite(phase) else f"phase max|E| max|t| = {phase!r} is not finite"
+    forms = [t, np.float64(t), np.array(t), np.array([t])]
+    assert [phase_verdict(np.array(E), form) for form in forms] == [want] * 4
+
+
 class TestZenoTime:
     def test_sigma_x_on_basis_state(self):
         assert abs(zeno_time(E1, SIGMA_X) - 1.0) < 1e-12

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import collections
 import itertools
 import math
 import pathlib
@@ -54,6 +55,10 @@ class TestBlochMap:
             psi = random_state(rng, 2, normalized=bool(rng.integers(0, 2)))
             b = bloch_map(psi)
             assert abs(b.constraint_residual()) <= 1e-10 * max(1.0, b.u**2)
+
+    def test_point_stores_python_floats(self):
+        b = BlochPoint(1, np.float64(0.5), 0, True)
+        assert [(type(v), v) for v in (b.u, b.x, b.y, b.z)] == [(float, 1.0), (float, 0.5), (float, 0.0), (float, 1.0)]
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -306,6 +311,15 @@ class TestFrozenState:
         frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
         assert len(checked) == 1
 
+    def test_forms_no_propagator(self, record_calls):
+        # The phase is in closed form, after the one time check.
+        timed = record_calls(linalg._require_finite_phases)
+        formed = record_calls(linalg._propagator)
+        diagonalized = record_calls(linalg._hermitian_eigh)
+        frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
+        assert len(timed) == 1
+        assert formed == [] and diagonalized == []
+
     def test_diagonalizes_the_1x1_compression(self, monkeypatch):
         # In closed form: the rank-one compression is its own eigenpair, with
         # the bits eigh gives it, and no eigh is called.
@@ -318,22 +332,52 @@ class TestFrozenState:
         assert sizes == []
 
     def test_bits_of_the_eigh_formula_on_a_grid(self):
-        # Signed zeros, units and a tiny rate at signed zero, unit and long
-        # times: the closed form keeps every bit, signs of zeros included.
-        for h0, hz, t in itertools.product(GRID_FIELD, GRID_FIELD, GRID_TIME):
-            for hx, hy in [(0.0, 0.0), (0.5, -0.3)]:
-                hq = QubitHamiltonian(h0, hx, hy, hz)
-                assert repr(frozen_state_check(hq, t)) == repr(eigh_frozen_state_check(hq, t)), (hq, t)
+        # Signed zeros, subnormals, units, a tiny rate and fields past the
+        # operator scale, at signed zero, subnormal, unit, long and huge
+        # times, and a seeded batch across the float range: the closed form
+        # keeps every bit, signs of zeros included, and rejects what the
+        # eigh formula rejects, with its message.
+        grid = [
+            (h0, hx, hy, hz, t)
+            for h0, hz, t in itertools.product(GRID_FIELD, GRID_FIELD, GRID_TIME)
+            for hx, hy in [(0.0, 0.0), (0.5, -0.3)]
+        ]
+        kinds = collections.Counter()
+        for h0, hx, hy, hz, t in grid + random_frozen_cases(np.random.default_rng(34), 2000):
+            hq = QubitHamiltonian(h0, hx, hy, hz)
+            want = frozen_outcome(eigh_frozen_state_check, hq, t)
+            assert frozen_outcome(frozen_state_check, hq, t) == want, (hq, t)
+            kinds["phase" if "phase" in want else "operator" if "operator" in want else "accepted"] += 1
+        assert len(kinds) == 3 and min(kinds.values()) > 100, kinds
 
 
-GRID_FIELD = [0.0, -0.0, 1.0, -1.0, 1e-300]
-GRID_TIME = [0.0, -0.0, 1.0, 1e5]
+GRID_FIELD = [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, -5e-324, 1e150, 1e300]
+GRID_TIME = [0.0, -0.0, 1.0, 1e5, -1.0, 5e-324, 1e10, 1e300]
+
+
+def random_frozen_cases(rng, count):
+    """count (h0, hx, hy, hz, t), each entry either of unit size or of a
+    random sign and a decimal exponent drawn from the whole float range;
+    one t in ten is inf, -inf or nan."""
+    wide = rng.choice([-1.0, 1.0], size=(count, 5)) * 10.0 ** rng.uniform(-323.0, 308.0, size=(count, 5))
+    unit = rng.uniform(-3.0, 3.0, size=(count, 5))
+    cases = np.where(rng.random((count, 5)) < 0.5, wide, unit)
+    cases[rng.random(count) < 0.1, 4] = rng.choice([np.inf, -np.inf, np.nan])
+    return cases.tolist()
+
+
+def frozen_outcome(check, hq, t):
+    try:
+        return repr(check(hq, t))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def eigh_frozen_state_check(hq, t):
-    """frozen_state_check as it was with an eigh of the 1 x 1 compression:
-    the oracle of its closed form."""
-    H = hq.matrix()
+    """frozen_state_check as it was, with the one check of H and an eigh of
+    its 1 x 1 compression, whose propagator applies the time check: the
+    oracle of its closed form."""
+    H = linalg.require_hermitian(hq.matrix())
     e1 = PROJECTOR_UP[:, :1]
     A = e1.conj().T @ H @ e1
     amp = complex(linalg._propagator(*np.linalg.eigh(0.5 * (A + A.conj().T)), float(t))[0, 0])
@@ -341,8 +385,9 @@ def eigh_frozen_state_check(hq, t):
 
 
 def test_qubit_imports_nothing_from_zeno():
-    """frozen_state_check compresses H onto e1 itself, so qubit reaches no
-    zeno name, private or public."""
+    """frozen_state_check reads its rate from H itself and forms its phase
+    in closed form, so qubit reaches no zeno name, private or public, and
+    neither linalg's propagator nor its eigh."""
     imported = set()
     for node in ast.walk(ast.parse(pathlib.Path(qubit.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
@@ -351,6 +396,7 @@ def test_qubit_imports_nothing_from_zeno():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
     assert "linalg" in imported
+    assert not {"linalg._propagator", "linalg._hermitian_eigh"} & imported
     assert not [m for m in imported if "zeno" in m.split(".")]
 
 
