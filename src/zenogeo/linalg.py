@@ -241,6 +241,17 @@ def require_normalized(psi) -> np.ndarray:
     return psi
 
 
+def _require_scale(n: int, peak: float) -> None:
+    """Raise unless peak, the largest real or imaginary part of an n x n
+    operator's entries, is finite and n * peak is at most OPERATOR_SCALE_MAX."""
+    if not math.isfinite(peak):
+        raise ValueError("operator contains non-finite entries")
+    if n * peak > OPERATOR_SCALE_MAX:
+        raise ValueError(
+            f"operator scale n max|Re, Im A_ij| = {n * peak:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"
+        )
+
+
 def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Coerce to a square complex128 matrix and check A = A^dagger entrywise."""
     # C order: a float64 view of an F-ordered copy would raise.
@@ -249,14 +260,7 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"operator must be a square matrix, got shape {out.shape}")
     # Parts, not |A_ij|, which can overflow; |A_ij| <= sqrt(2) max part.
     # The max propagates nan, so a finite peak means finite entries.
-    peak = float(abs(out.view(np.float64)).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise ValueError("operator contains non-finite entries")
-    scale = out.shape[0] * peak
-    if scale > OPERATOR_SCALE_MAX:
-        raise ValueError(
-            f"operator scale n max|Re, Im A_ij| = {scale:.3e} exceeds {OPERATOR_SCALE_MAX:.0e}"
-        )
+    _require_scale(out.shape[0], float(abs(out.view(np.float64)).max(initial=0.0)))
     # out - out.conj().T in place in a contiguous copy of out.T: less memory, faster.
     d = out.T.copy()
     np.conjugate(d, out=d)
@@ -302,12 +306,13 @@ def require_projector(P) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
-def _require_finite_phases(E: np.ndarray, t) -> None:
+def _require_finite_phases(E, t) -> None:
     """Raise unless every phase E_k t is finite, checked as max|E| max|t| in
-    Python floats, where an overflow gives inf and no warning.  The one
-    time check: a nan or infinite t fails even at E = 0, as 0 * inf is nan."""
+    Python floats (E or t may be one), where an overflow gives inf and no
+    warning.  The one time check: a nan or infinite t fails even at E = 0."""
     tmax = abs(t) if type(t) is float else float(np.abs(t).max(initial=0.0))
-    phase = float(abs(E).max(initial=0.0)) * tmax
+    emax = abs(E) if type(E) is float else float(abs(E).max(initial=0.0))
+    phase = emax * tmax
     if not math.isfinite(phase):
         raise ValueError(f"phase max|E| max|t| = {phase!r} is not finite")
 

@@ -17,7 +17,8 @@ off-diagonal coordinates x, y beat at the frequency difference of the two
 levels of PHP, which is (h0 + hz) - 0 since the orthogonal level carries
 eigenvalue zero.)  The prepared state e1 is a fixed point of the flow: it
 only gains the phase exp(-i (h0 + hz) t).  Rotation and phase are closed
-forms, taken after linalg's one time check and with no propagator.
+forms, taken after linalg's one time check and with no propagator, and
+the field is checked on its four Python floats, with no matrix built.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from .linalg import (
     _nonzero_state,
     _require_count,
     _require_finite_phases,
+    _require_scale,
     as_state,
-    require_hermitian,
     zeno_time_of_variance,
 )
 
@@ -51,6 +52,12 @@ class QubitHamiltonian:
     hx: float
     hy: float
     hz: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "h0", float(self.h0))
+        object.__setattr__(self, "hx", float(self.hx))
+        object.__setattr__(self, "hy", float(self.hy))
+        object.__setattr__(self, "hz", float(self.hz))
 
     @property
     def field(self) -> np.ndarray:
@@ -89,6 +96,16 @@ class BlochPoint:
         return self.u * self.u - (self.x * self.x + self.y * self.y + self.z * self.z)
 
 
+def _require_field(hq: QubitHamiltonian) -> None:
+    """Raise as require_hermitian(hq.matrix()) raises: linalg's entry and
+    scale rule on the parts h0 + hz, hx, hy and h0 - hz of H's entries,
+    each tested finite first, as max carries no nan.  No Hermitian deviation
+    is checked: the off-diagonal pair is built from the same hx, hy, so the
+    deviation is exactly 0 for every finite field."""
+    parts = (hq.h0 + hq.hz, hq.hx, hq.hy, hq.h0 - hq.hz)
+    _require_scale(2, max(map(abs, parts)) if all(map(math.isfinite, parts)) else math.inf)
+
+
 def require_on_sphere(point: BlochPoint) -> BlochPoint:
     """Return point if u^2 = x^2 + y^2 + z^2 holds to CONSTRAINT_TOL (relative
     to u^2 once u^2 > 1); a nan or overflowed residual fails."""
@@ -120,7 +137,9 @@ def bloch_map(psi) -> BlochPoint:
 def qubit_zeno_time(hq: QubitHamiltonian, psi) -> float:
     """Zeno time from the cross product: tau^{-2} = |h x r|^2 / |r|^2
     with r the Bloch vector.  The offset h0 drops out; parallel h and r
-    (an eigenstate) give an infinite Zeno time."""
+    (an eigenstate) give an infinite Zeno time.  The field is checked as
+    H is checked: a non-finite or overflowing field raises ValueError."""
+    _require_field(hq)
     b = bloch_map(_nonzero_state(psi)[0])
     r = np.array([b.x, b.y, b.z])
     cross = np.cross(hq.field, r)
@@ -157,7 +176,7 @@ def integrate_zeno_flow(
     require_on_sphere(start)
     samples = _require_count(samples, "samples")
     w = zeno_rotation_rate(hq)
-    _require_finite_phases(np.array([w]), t)
+    _require_finite_phases(w, t)
     ts = np.linspace(0.0, t, samples + 1)
     xy = complex(start.x, start.y) * np.exp(1j * (w * ts))
     return [BlochPoint(start.u, c.real, c.imag, start.z) for c in xy.tolist()]
@@ -168,15 +187,16 @@ def frozen_state_check(hq: QubitHamiltonian, t: float) -> tuple[float, complex]:
 
     The measurement constraint pins the initial state to the North Pole,
     the degenerate orbit of the flow: the dynamics freezes and only the
-    phase exp(-i (h0+hz) t) accumulates.  One check, of the field's H; its
-    1 x 1 compression onto e1 is the rate Re H[0, 0] = h0 + hz, and after
-    the one time check the phase is formed in closed form: no propagator.
-    Complex operands throughout, as in numpy's -1j * E * t, so no zero's
-    sign hangs on how the interpreter mixes real and complex operands.
+    phase exp(-i (h0+hz) t) accumulates.  One check, of the field on its
+    four floats, with no matrix built; the 1 x 1 compression of H onto e1
+    is the rate h0 + hz, and after the one time check the phase is formed
+    in closed form: no propagator.  Complex operands throughout, as in
+    numpy's -1j * E * t, so no zero's sign hangs on how the interpreter
+    mixes real and complex operands.
     """
-    H = require_hermitian(hq.matrix())
-    w, t = float(H[0, 0].real), float(t)
-    _require_finite_phases(np.array([w]), t)
+    _require_field(hq)
+    w, t = zeno_rotation_rate(hq), float(t)
+    _require_finite_phases(w, t)
     amp = cmath.exp(complex(-0.0, -1.0) * complex(w, 0.0) * complex(t, 0.0))
     return abs(amp) ** 2, amp
 

@@ -800,12 +800,12 @@ class TestFreeze:
         assert abs(rows[0][2] - 1.0) <= 1e-12
 
     def test_checks_the_field_once(self, record_calls, capsys):
-        # The field once, for --h0/--hx/--hy/--hz; the limit then uses that
-        # checked H, and neither H, PHP nor the constant PROJECTOR_UP is
-        # checked again.
+        # The field once, for --h0/--hx/--hy/--hz, on its four floats: no
+        # matrix is checked, neither H, PHP nor the constant PROJECTOR_UP.
+        fields = record_calls(qubit._require_field)
         checked = record_calls(linalg.require_hermitian)
         assert run_cli(["freeze", "--hx", "0.5", "--hz", "1", "--t", "2"], capsys)[0] == 0
-        assert len(checked) == 1
+        assert len(fields) == 1 and checked == []
 
     def test_calls_the_public_frozen_state_check(self, record_calls, capsys):
         called = record_calls(qubit.frozen_state_check)
@@ -1493,6 +1493,9 @@ class TestSpecFuzz:
               "--samples", "2"], "--hamiltonian"),
             (["zeno-time", "--hamiltonian", "qubit:1e308,0,0,1e308", "--state", "e1"], "--hamiltonian"),
             (["freeze", "--h0=1e308", "--hz=1e308", "--t=1"], "--h0"),
+            # Past the scale, and charged before a time whose phase overflows.
+            (["freeze", "--hx=1e300", "--t=1"], "--hx"),
+            (["freeze", "--hy=-1e300", "--t=1e308"], "--hy"),
             # Work budget.
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "2097152"], "--n-max"),
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max",

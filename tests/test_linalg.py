@@ -262,15 +262,17 @@ def phase_verdict(E, t):
     return None
 
 
-@pytest.mark.parametrize("E", [[0.0], [1.0], [1e308], [2.0, -3.0]], ids=str)
+@pytest.mark.parametrize("E", [[0.0], [-0.0], [1.0], [-2.0], [1e308], [math.nan], [2.0, -3.0]], ids=str)
 @pytest.mark.parametrize("t", [0.0, -0.0, 5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan], ids=repr)
 def test_phase_rule_reads_a_scalar_time_in_every_form(E, t):
-    # A Python float time is read as abs(t), any other as an array
-    # reduction: one verdict, and one message, for every form of one time.
+    # A Python float time or rate is read as its abs, any other as an array
+    # reduction: one verdict, and one message, for every form of one time
+    # and of one rate.
     phase = max(abs(e) for e in E) * abs(t)
     want = None if math.isfinite(phase) else f"phase max|E| max|t| = {phase!r} is not finite"
+    rates = [np.array(E), *([E[0], np.float64(E[0])] if len(E) == 1 else [])]
     forms = [t, np.float64(t), np.array(t), np.array([t])]
-    assert [phase_verdict(np.array(E), form) for form in forms] == [want] * 4
+    assert [phase_verdict(rate, form) for rate in rates for form in forms] == [want] * (4 * len(rates))
 
 
 class TestZenoTime:

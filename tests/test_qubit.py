@@ -60,6 +60,17 @@ class TestBlochMap:
         b = BlochPoint(1, np.float64(0.5), 0, True)
         assert [(type(v), v) for v in (b.u, b.x, b.y, b.z)] == [(float, 1.0), (float, 0.5), (float, 0.0), (float, 1.0)]
 
+    def test_hamiltonian_stores_python_floats(self):
+        # An int or an np.float64 keeps its value, bit for bit.
+        hq = QubitHamiltonian(3, np.float64(0.1), -0.0, True)
+        fields = (hq.h0, hq.hx, hq.hy, hq.hz)
+        assert [type(v) for v in fields] == [float] * 4
+        assert [v.hex() for v in fields] == [(3.0).hex(), (0.1).hex(), (-0.0).hex(), (1.0).hex()]
+
+    def test_hamiltonian_refuses_a_complex_field(self):
+        with pytest.raises(TypeError):
+            QubitHamiltonian(1j, 0.0, 0.0, 0.0)
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             bloch_map(np.array([1.0, 0.0, 0.0]))
@@ -127,6 +138,22 @@ class TestQubitZenoTime:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             qubit_zeno_time(QubitHamiltonian(0, 1, 0, 0), np.zeros(2, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "hq,message",
+        [
+            (QubitHamiltonian(0.0, 1e300, 0.0, 0.0), "operator scale n max|Re, Im A_ij| = 2.000e+300 exceeds 1e+150"),
+            (QubitHamiltonian(0.0, math.nan, 0.0, 0.0), "operator contains non-finite entries"),
+        ],
+        ids=["overflowing-scale", "nan"],
+    )
+    def test_rejects_the_field_that_its_matrix_check_rejects(self, hq, message):
+        # The message zeno-time prints for the same field as --hamiltonian,
+        # and no overflow in the cross product.
+        assert field_verdict(lambda h: linalg.require_hermitian(h.matrix()), hq) == message
+        with pytest.raises(ValueError) as raised:
+            qubit_zeno_time(hq, E1)
+        assert str(raised.value) == message
 
 
 class TestFlowGenerator:
@@ -306,10 +333,12 @@ class TestFrozenState:
             frozen_state_check(hq, 1.0)
 
     def test_checks_its_hamiltonian_once(self, record_calls):
-        # PHP and the constant PROJECTOR_UP are not checked.
+        # The field once, on its four floats: no matrix is checked, neither
+        # H, PHP nor the constant PROJECTOR_UP.
+        fields = record_calls(qubit._require_field)
         checked = record_calls(linalg.require_hermitian)
         frozen_state_check(QubitHamiltonian(0.2, 0.5, -0.3, 1.0), 2.0)
-        assert len(checked) == 1
+        assert len(fields) == 1 and checked == []
 
     def test_forms_no_propagator(self, record_calls):
         # The phase is in closed form, after the one time check.
@@ -384,10 +413,46 @@ def eigh_frozen_state_check(hq, t):
     return abs(amp) ** 2, amp
 
 
+FIELD_EDGES = [*GRID_FIELD, -1e300, 5e149, 7.5e149, 1e308, -1e308, math.inf, -math.inf, math.nan]
+OFF_DIAGONAL = [0.0, -0.0, 0.5, -5e-324, 7.5e149, -1e300, 1e308, math.inf, math.nan]
+
+
+def field_verdict(check, hq):
+    try:
+        check(hq)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_field_check_gives_the_verdict_of_the_matrix_check():
+    # Every field of the edges, with sums h0 +- hz that overflow, parts at
+    # and past the scale bound, +-inf and nan, also given as np.float64: the
+    # check on four floats accepts what require_hermitian(hq.matrix())
+    # accepts and raises its message otherwise.
+    seen = set()
+    for h0, hz in itertools.product(FIELD_EDGES, repeat=2):
+        for hx, hy in itertools.product(OFF_DIAGONAL, repeat=2):
+            hq = QubitHamiltonian(h0, hx, hy, hz)
+            want = field_verdict(lambda h: linalg.require_hermitian(h.matrix()), hq)
+            assert field_verdict(qubit._require_field, hq) == want, hq
+            if hx == hy == 0.5:
+                wide = QubitHamiltonian(*map(np.float64, (h0, hx, hy, hz)))
+                assert field_verdict(qubit._require_field, wide) == want, wide
+            seen.add(want)
+    # Finite parts whose scale 2 * 1e308 overflows read "= inf exceeds".
+    assert {
+        None,
+        "operator contains non-finite entries",
+        "operator scale n max|Re, Im A_ij| = 1.500e+150 exceeds 1e+150",
+        "operator scale n max|Re, Im A_ij| = inf exceeds 1e+150",
+    } <= seen, seen
+
+
 def test_qubit_imports_nothing_from_zeno():
-    """frozen_state_check reads its rate from H itself and forms its phase
-    in closed form, so qubit reaches no zeno name, private or public, and
-    neither linalg's propagator nor its eigh."""
+    """frozen_state_check reads its rate from the field itself and forms
+    its phase in closed form, so qubit reaches no zeno name, private or
+    public, and neither linalg's propagator nor its eigh."""
     imported = set()
     for node in ast.walk(ast.parse(pathlib.Path(qubit.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
