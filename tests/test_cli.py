@@ -1493,15 +1493,15 @@ class TestSpecFuzz:
               "--samples", "2"], "--hamiltonian"),
             (["zeno-time", "--hamiltonian", "qubit:1e308,0,0,1e308", "--state", "e1"], "--hamiltonian"),
             (["freeze", "--h0=1e308", "--hz=1e308", "--t=1"], "--h0"),
-            # Past the scale, and charged before a time whose phase overflows.
-            (["freeze", "--hx=1e300", "--t=1"], "--hx"),
-            (["freeze", "--hy=-1e300", "--t=1e308"], "--hy"),
             # Work budget.
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max", "2097152"], "--n-max"),
             (["converge", "--hamiltonian", "sigma_x", "--projector", "e1", "--n-max",
               "4611686018427387904"], "--n-max"),
             # h0 + hz overflows; --t = 0 is not at fault.
             (["flow", "--h0=1e308", "--hz=1e308", "--start", "equator", "--t=0", "--samples", "1"], "--h0"),
+            # Past the scale, and charged before a time whose phase overflows.
+            (["freeze", "--hx=1e300", "--t=1"], "--hx"),
+            (["freeze", "--hy=-1e300", "--t=1e308"], "--hy"),
         ],
     )
     def test_bad_spec_names_its_flag(self, argv, flag, capsys):
